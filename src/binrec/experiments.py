@@ -109,10 +109,11 @@ def _grid_sizes(N: int, fractions) -> list:
     return [int(round(f * N)) for f in fractions]
 
 
-def _solve_one(program, A, b, eta, tol_x0, x0_dense):
-    """Run one program, never raising; returns (success, error, status, x_hat)."""
+def _solve_one(program, problems, tol_x0, x0_dense):
+    """Run one program on the trial's (noiseless, noisy) problems, never
+    raising; returns (success, error, status, x_hat)."""
     try:
-        rep = solve(program, RecoveryProblem(A, b, eta=eta if program == "robust_box_bp" else None))
+        rep = solve(program, problems[1 if program == "robust_box_bp" else 0])
     except (SolverFailure, ValueError) as exc:
         return False, float("nan"), f"error:{type(exc).__name__}", None
     if rep.x_hat is None:
@@ -137,13 +138,17 @@ def run_cell(config: ExperimentConfig, cell_i: int, cell_j: int) -> list:
         b = A.entries @ x0d
         if config.noise_eps:
             b = b + gen_noise(m, config.noise_eps, seed=_mix(seed, 2))
+        # one problem object per measurement vector, shared by the programs,
+        # so that box_bp and mibi_bp solve box-BP's LP once between them
+        problems = (RecoveryProblem(A, b), RecoveryProblem(A, b, eta=eta))
         if config.record_simultaneous:
             b_mirror = A.entries @ (1.0 - x0d)
+            mirror_problems = (RecoveryProblem(A, b_mirror), RecoveryProblem(A, b_mirror, eta=eta))
         for program in config.programs:
-            ok, err, status, _ = _solve_one(program, A, b, eta, config.success_tol, x0d)
+            ok, err, status, _ = _solve_one(program, problems, config.success_tol, x0d)
             both = neither = None
             if config.record_simultaneous:
-                ok2, _, _, _ = _solve_one(program, A, b_mirror, eta,
+                ok2, _, _, _ = _solve_one(program, mirror_problems,
                                           config.success_tol, 1.0 - x0d)
                 both = ok and ok2
                 neither = not ok and not ok2

@@ -1,30 +1,35 @@
-"""Dense convex solvers: a bounded-variable primal simplex and a projected
-gradient method for box-constrained least squares.
+"""Dense convex solvers: box-bounded LPs, box-constrained least squares and
+box-constrained quadratics.
 
-The LP solver is a two-phase primal simplex on variables with (possibly
-infinite) individual bounds.  Pivoting is Dantzig pricing with a switch to
-Bland's rule after too many degenerate steps, which keeps the solution path
-deterministic for a given problem.  Problem sizes here are modest (a few
-hundred variables), so a dense tableau-free implementation with an explicit
-basis inverse is entirely adequate.
+LPs go to scipy's HiGHS dual simplex and box-constrained least squares to
+scipy's trust-region reflective method (``lsq_linear(method="trf")``).  Only
+the box-QP with a linear term, which ``robust_box_bp``'s ADMM needs, is
+solved here, by accelerated projected gradient.  Both box solvers share one
+active-set polish and report convergence by the same projected-gradient
+fixed-point test.
+
+Box-LS deliberately avoids scipy's BVLS: it is an active-set method and
+lands on a vertex of the box when the least-squares solution set is not a
+single point, which would make box_ls look like it recovers binary signals
+that its program does not determine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog, lsq_linear
 
+# HiGHS's primal feasibility tolerance: how far a returned point may leave a
+# constraint row before clipping into its bounds
 TOL_FEAS = 1e-9
-TOL_OPT = 1e-9
-PIVOT_TOL = 1e-11
-
-_BASIC, _AT_LOWER, _AT_UPPER, _FREE_NB = 0, 1, 2, 3
 
 
 class SolverFailure(RuntimeError):
-    """Numerical breakdown (singular basis, stalled pivoting).
+    """The LP solver stopped without a verdict (iteration limit, numerical
+    trouble).
 
     Deliberately distinct from an infeasible/unbounded verdict, which is a
     property of the problem and reported through LpSolution.status.
@@ -78,288 +83,40 @@ class LpSolution:
     dual_eq: np.ndarray | None = None
 
 
-class _Simplex:
-    """Bounded-variable simplex working on rows A x = b with column bounds."""
-
-    def __init__(self, A, b, lo, up):
-        self.A = A
-        self.b = b
-        self.lo = lo
-        self.up = up
-        self.nrows, self.ncols = A.shape
-        self.status = np.empty(self.ncols, dtype=np.int8)
-        for j in range(self.ncols):
-            if np.isfinite(lo[j]):
-                self.status[j] = _AT_LOWER
-            elif np.isfinite(up[j]):
-                self.status[j] = _AT_UPPER
-            else:
-                self.status[j] = _FREE_NB
-        self.basis = np.empty(0, dtype=int)
-        self.Binv = np.empty((0, 0))
-        self.xB = np.empty(0)
-
-    def nonbasic_values(self) -> np.ndarray:
-        v = np.where(self.status == _AT_UPPER, self.up, np.where(self.status == _AT_LOWER, self.lo, 0.0))
-        v[self.status == _BASIC] = 0.0
-        return v
-
-    def full_solution(self) -> np.ndarray:
-        x = self.nonbasic_values()
-        x[self.basis] = self.xB
-        return x
-
-    def install_basis(self, basis) -> None:
-        self.basis = np.array(basis, dtype=int)  # copy: pivots must not alias the caller's array
-        self.status[self.basis] = _BASIC
-        self.refactorize()
-
-    def refactorize(self) -> None:
-        B = self.A[:, self.basis]
-        try:
-            self.Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure("singular basis matrix") from exc
-        if not np.all(np.isfinite(self.Binv)):
-            raise SolverFailure("basis inverse overflowed")
-        xN = self.nonbasic_values()
-        self.xB = self.Binv @ (self.b - self.A @ xN)
-
-    def run(self, c, max_iter, target=None) -> str:
-        """Iterate until optimal ('optimal') or unbounded ('unbounded').
-
-        ``target`` short-circuits once the objective reaches it; phase 1 uses
-        this to stop at feasibility instead of grinding on degenerate pivots.
-
-        Bland's rule alone does not survive floating point: rank-1 update
-        noise pushes basic values marginally out of bounds, the ratio-test
-        clamp turns those rows into permanent zero-length blockers, and the
-        pivot sequence cycles.  A long stall therefore triggers a tiny
-        outward perturbation of all finite bounds, which makes the vertex
-        nondegenerate so every pivot strictly improves; once the perturbed
-        problem is optimal the exact bounds are restored and iteration
-        resumes (usually finishing in a handful of pivots).
-        """
-        opt_tol = TOL_OPT * max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-        fixed = self.up - self.lo <= 0
-        degenerate = 0
-        stall = 0
-        bland = False
-        bland_after = 5 * self.ncols
-        stall_after = 3 * bland_after
-        perturbed = None  # saved (lo, up) while bounds are shifted
-        rounds = 0
-        for it in range(max_iter):
-            if it and it % 100 == 0:
-                self.refactorize()
-            if (target is not None and perturbed is None
-                    and float(c @ self.full_solution()) <= target + opt_tol):
-                return "optimal"
-            y = self.Binv.T @ c[self.basis]
-            r = c - self.A.T @ y
-            enter, direction = self._choose_entering(r, opt_tol, fixed, bland)
-            if enter < 0:
-                if perturbed is None:
-                    return "optimal"
-                self.lo, self.up = perturbed
-                perturbed = None
-                self.refactorize()
-                bland = False
-                degenerate = 0
-                stall = 0
-                continue
-            d = self.Binv @ self.A[:, enter]
-            theta, kind, row = self._ratio_test(enter, direction, d)
-            if theta is None:
-                if perturbed is not None:
-                    self.lo, self.up = perturbed
-                return "unbounded"
-            if theta <= PIVOT_TOL:
-                degenerate += 1
-                stall += 1
-                if degenerate > bland_after:
-                    bland = True
-                if stall > stall_after and perturbed is None and rounds < 5:
-                    perturbed = (self.lo, self.up)
-                    rounds += 1
-                    self._shift_bounds(seed=rounds)
-                    self.refactorize()
-                    stall = 0
-                    continue
-            else:
-                stall = 0
-            self._apply_step(enter, direction, d, theta, kind, row)
-        if perturbed is not None:
-            self.lo, self.up = perturbed
-        raise SolverFailure(f"simplex iteration limit {max_iter} reached")
-
-    def _shift_bounds(self, seed: int) -> None:
-        """Move every finite bound outward by a random amount in
-        [1e-8, 2e-8]; fixed (equal-bound) columns stay fixed so they cannot
-        start moving under the perturbation."""
-        rng = np.random.default_rng(seed)
-        eps = 1e-8 * (1.0 + rng.random(self.ncols))
-        keep = self.up - self.lo <= 0
-        lo = self.lo.copy()
-        up = self.up.copy()
-        lo[np.isfinite(lo) & ~keep] -= eps[np.isfinite(lo) & ~keep]
-        up[np.isfinite(up) & ~keep] += eps[np.isfinite(up) & ~keep]
-        self.lo = lo
-        self.up = up
-
-    def _choose_entering(self, r, opt_tol, fixed, bland):
-        st = self.status
-        improve = np.zeros(self.ncols)
-        can_inc = ((st == _AT_LOWER) | (st == _FREE_NB)) & ~fixed & (r < -opt_tol)
-        can_dec = ((st == _AT_UPPER) | (st == _FREE_NB)) & ~fixed & (r > opt_tol)
-        improve[can_inc] = -r[can_inc]
-        improve[can_dec] = r[can_dec]
-        candidates = np.nonzero(improve > 0)[0]
-        if candidates.size == 0:
-            return -1, 0
-        j = int(candidates[0]) if bland else int(candidates[np.argmax(improve[candidates])])
-        return j, (1 if can_inc[j] else -1)
-
-    def _ratio_test(self, enter, direction, d):
-        flip = self.up[enter] - self.lo[enter]  # inf unless both bounds finite
-        if self.nrows == 0:
-            return (flip, "flip", -1) if np.isfinite(flip) else (None, "", -1)
-        # moving the entering variable by theta changes xB by -direction*d
-        delta = -direction * d
-        lo_b = self.lo[self.basis]
-        up_b = self.up[self.basis]
-        limits = np.full(self.nrows, np.inf)
-        dec = delta < -PIVOT_TOL
-        inc = delta > PIVOT_TOL
-        with np.errstate(invalid="ignore"):
-            limits[dec] = (self.xB[dec] - lo_b[dec]) / (-delta[dec])
-            limits[inc] = (up_b[inc] - self.xB[inc]) / delta[inc]
-        limits[limits < 0] = 0.0  # slightly out-of-bound basics pivot immediately
-        theta = float(np.min(limits))
-        # Bland-style leaving rule: among blocking rows, smallest variable
-        # index (required for the anti-cycling guarantee)
-        ties = np.nonzero(limits <= theta)[0]
-        row = int(ties[np.argmin(self.basis[ties])])
-        if flip < theta:
-            return flip, "flip", -1
-        if not np.isfinite(theta):
-            return None, "", -1
-        return theta, "pivot", row
-
-    def _apply_step(self, enter, direction, d, theta, kind, row):
-        self.xB += -direction * d * theta
-        if kind == "flip":
-            self.status[enter] = _AT_UPPER if self.status[enter] == _AT_LOWER else _AT_LOWER
-            return
-        leave = self.basis[row]
-        # the leaving variable lands on the bound that blocked the step
-        if -direction * d[row] < 0:
-            self.status[leave] = _AT_LOWER if np.isfinite(self.lo[leave]) else _FREE_NB
-        else:
-            self.status[leave] = _AT_UPPER if np.isfinite(self.up[leave]) else _FREE_NB
-        if self.status[enter] == _AT_UPPER:
-            enter_val = self.up[enter] + direction * theta
-        elif self.status[enter] == _AT_LOWER:
-            enter_val = self.lo[enter] + direction * theta
-        else:
-            enter_val = direction * theta
-        self.status[enter] = _BASIC
-        self.basis[row] = enter
-        piv = d[row]
-        if abs(piv) < PIVOT_TOL:
-            raise SolverFailure("pivot element below tolerance")
-        self.Binv[row] /= piv
-        others = np.arange(self.nrows) != row
-        self.Binv[others] -= np.outer(d[others], self.Binv[row])
-        self.xB[row] = enter_val
+_HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def _assemble(p: LpProblem):
-    """Append slack columns for inequality rows; returns (A, b, c, lo, up, n_total)."""
-    n, q = p.n, p.b_ineq.size
-    A = np.vstack([np.hstack([p.A_eq, np.zeros((p.A_eq.shape[0], q))]),
-                   np.hstack([p.A_ineq, np.eye(q)])])
-    b = np.concatenate([p.b_eq, p.b_ineq])
-    c = np.concatenate([p.c, np.zeros(q)])
-    lo = np.concatenate([p.lower, np.zeros(q)])
-    up = np.concatenate([p.upper, np.full(q, np.inf)])
-    return A, b, c, lo, up, n + q
+def _highs(p: LpProblem, c: np.ndarray):
+    """(status, result) of HiGHS's dual simplex on ``p`` with objective c;
+    any other outcome than a verdict raises SolverFailure."""
+    res = linprog(c, A_ub=p.A_ineq, b_ub=p.b_ineq, A_eq=p.A_eq, b_eq=p.b_eq,
+                  bounds=np.column_stack([p.lower, p.upper]),
+                  method="highs-ds", options={"primal_feasibility_tolerance": TOL_FEAS})
+    if res.status not in _HIGHS_STATUS:
+        raise SolverFailure(f"HiGHS: {res.message}")
+    return _HIGHS_STATUS[res.status], res
 
 
-def _phase1(p: LpProblem):
-    """Find a basic feasible point.  Returns (simplex, art_cols, phase1_obj)."""
-    A, b, c, lo, up, ntot = _assemble(p)
-    nrows = b.size
-    sx = _Simplex(np.hstack([A, np.zeros((nrows, nrows))]),
-                  b,
-                  np.concatenate([lo, np.zeros(nrows)]),
-                  np.concatenate([up, np.full(nrows, np.inf)]))
-    resid = b - A @ sx.nonbasic_values()[:ntot]
-    signs = np.where(resid >= 0, 1.0, -1.0)
-    art = ntot + np.arange(nrows)
-    sx.A[np.arange(nrows), art] = signs
-    sx.install_basis(art)
-    c1 = np.concatenate([np.zeros(ntot), np.ones(nrows)])
-    verdict = sx.run(c1, max_iter=2000 + 50 * (ntot + nrows), target=0.0)
-    if verdict != "optimal":
-        raise SolverFailure("phase 1 reported unbounded, which cannot happen")
-    obj = float(c1 @ sx.full_solution())
-    return sx, art, ntot, c, obj
-
-
-def _drive_out_artificials(sx: _Simplex, art: np.ndarray, ntot: int) -> None:
-    """Pivot residual artificials out of the basis; redundant rows keep a
-    zero-fixed artificial basic."""
-    art_set = set(int(a) for a in art)
-    for row in range(sx.nrows):
-        if int(sx.basis[row]) not in art_set:
-            continue
-        tab_row = sx.Binv[row] @ sx.A[:, :ntot]
-        pivoted = False
-        for j in np.argsort(-np.abs(tab_row)):
-            if abs(tab_row[j]) <= PIVOT_TOL:
-                break
-            if sx.status[j] == _BASIC or sx.up[j] - sx.lo[j] <= 0:
-                continue
-            d = sx.Binv @ sx.A[:, int(j)]
-            sx._apply_step(int(j), 1, d, 0.0, "pivot", row)
-            pivoted = True
-            break
-        if not pivoted:
-            # redundant row at pivot tolerance: freeze the artificial at zero
-            sx.xB[row] = 0.0
-    # artificials can never re-enter
-    sx.lo[art] = 0.0
-    sx.up[art] = 0.0
-
-
-def solve_lp(p: LpProblem, tol_feas: float = TOL_FEAS, tol_opt: float = TOL_OPT) -> LpSolution:
-    """Two-phase bounded-variable simplex."""
-    scale = max(1.0, float(np.max(np.abs(p.b_eq))) if p.b_eq.size else 1.0)
-    sx, art, ntot, c_full, phase1_obj = _phase1(p)
-    if phase1_obj > tol_feas * scale:
-        return LpSolution(status="infeasible")
-    _drive_out_artificials(sx, art, ntot)
-    c2 = np.concatenate([c_full, np.zeros(art.size)])
-    verdict = sx.run(c2, max_iter=2000 + 50 * sx.ncols)
-    if verdict == "unbounded":
-        return LpSolution(status="unbounded")
-    full = sx.full_solution()
-    x = full[: p.n]
-    y = sx.Binv.T @ c2[sx.basis]
+def solve_lp(p: LpProblem) -> LpSolution:
+    """Optimal point, objective and equality multipliers of ``p``, or its
+    infeasible/unbounded verdict.  The point is clipped into its bounds."""
+    status, res = _highs(p, p.c)
+    if status != "optimal":
+        return LpSolution(status=status)
+    x = np.clip(res.x, p.lower, p.upper)
     return LpSolution(status="optimal",
                       x=x,
                       objective=float(p.c @ x),
-                      dual_eq=y[: p.b_eq.size].copy())
+                      dual_eq=np.asarray(res.eqlin.marginals, dtype=float))
 
 
 def lp_feasible(p: LpProblem):
-    """Phase-1 feasibility check; returns (feasible, witness-or-None)."""
-    scale = max(1.0, float(np.max(np.abs(p.b_eq))) if p.b_eq.size else 1.0)
-    sx, art, ntot, _, phase1_obj = _phase1(p)
-    if phase1_obj > TOL_FEAS * scale:
+    """Feasibility check, ignoring the objective; returns (feasible,
+    witness-or-None)."""
+    status, res = _highs(p, np.zeros(p.n))
+    if status != "optimal":
         return False, None
-    return True, sx.full_solution()[: p.n]
+    return True, np.clip(res.x, p.lower, p.upper)
 
 
 # --- box-constrained least squares ---------------------------------------
@@ -370,7 +127,6 @@ class BoxLsResult:
     residual_norm: float
     iterations: int
     converged: bool
-    objective_history: list = field(default_factory=list)
 
 
 def _lipschitz(A: np.ndarray) -> float:
@@ -387,6 +143,64 @@ def _lipschitz(A: np.ndarray) -> float:
     return lam * 1.01  # power iteration approaches from below
 
 
+class _BoxQp:
+    """min 0.5*||Ax-b||^2 + q.x over lower <= x <= upper."""
+
+    def __init__(self, A, b, lower, upper, linear):
+        self.A = np.asarray(A, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        N = self.A.shape[1]
+        self.lower = np.broadcast_to(np.asarray(lower, dtype=float), (N,))
+        self.upper = np.broadcast_to(np.asarray(upper, dtype=float), (N,))
+        if np.any(self.lower > self.upper):
+            raise ValueError("lower bound exceeds upper bound")
+        self.q = np.zeros(N) if linear is None else np.asarray(linear, dtype=float)
+        self.gamma = 1.0 / _lipschitz(self.A)
+
+    def proj(self, z):
+        return np.clip(z, self.lower, self.upper)
+
+    def grad(self, z):
+        return self.A.T @ (self.A @ z - self.b) + self.q
+
+    def obj(self, z):
+        r = self.A @ z - self.b
+        return 0.5 * float(r @ r) + float(self.q @ z)
+
+    def fixed_point(self, x, tol) -> bool:
+        """The projected-gradient step from x moves it by at most tol."""
+        return bool(np.linalg.norm(x - self.proj(x - self.gamma * self.grad(x))) <= tol)
+
+    def polish(self, x):
+        """Active-set polish: snap near-bound coordinates, solve the free
+        block exactly, and keep the result only if the objective strictly
+        decreases.  Iterative methods stall on near-singular A (solution
+        error can sit orders of magnitude above the fixed-point residual
+        along tiny-singular-value directions); this finishes the job."""
+        A, lower, upper = self.A, self.lower, self.upper
+        f_x = self.obj(x)
+        for snap in (1e-3, 1e-6, 1e-9):
+            lo_act = x - lower <= snap
+            hi_act = upper - x <= snap
+            cand = np.where(lo_act, lower, np.where(hi_act, upper, x))
+            free = ~(lo_act | hi_act)
+            if np.any(free):
+                r = self.b - A[:, ~free] @ cand[~free]
+                Af = A[:, free]
+                sol = np.linalg.lstsq(Af.T @ Af, Af.T @ r - self.q[free], rcond=None)[0]
+                cand[free] = np.clip(sol, lower[free], upper[free])
+            f_cand = self.obj(cand)
+            if f_cand < f_x:
+                x, f_x = cand, f_cand
+        return x
+
+    def result(self, x, iterations, tol) -> BoxLsResult:
+        return BoxLsResult(x=x,
+                           residual_norm=float(np.linalg.norm(self.A @ x - self.b)),
+                           iterations=iterations,
+                           converged=self.fixed_point(x, tol))
+
+
 def solve_box_qp(A, b, lower, upper, linear=None, tol=1e-10, max_iter=None, x0=None,
                  polish=True) -> BoxLsResult:
     """min 0.5*||Ax-b||^2 + linear.x over the box, by accelerated projected
@@ -395,77 +209,47 @@ def solve_box_qp(A, b, lower, upper, linear=None, tol=1e-10, max_iter=None, x0=N
     ``polish=False`` skips the final active-set refinement; useful when the
     caller wants the raw multi-start behavior on problems with tied optima
     (the polish deliberately breaks ties toward exactly-on-bound points)."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, N = A.shape
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), (N,))
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), (N,))
-    if np.any(lower > upper):
-        raise ValueError("lower bound exceeds upper bound")
-    q = np.zeros(N) if linear is None else np.asarray(linear, dtype=float)
+    qp = _BoxQp(A, b, lower, upper, linear)
+    N = qp.A.shape[1]
     if max_iter is None:
         max_iter = 50 * N
-    gamma = 1.0 / _lipschitz(A)
-
-    def proj(z):
-        return np.clip(z, lower, upper)
-
-    def grad(z):
-        return A.T @ (A @ z - b) + q
-
-    def obj(z):
-        r = A @ z - b
-        return 0.5 * float(r @ r) + float(q @ z)
-
-    x = proj(np.zeros(N) if x0 is None else np.asarray(x0, dtype=float))
+    gamma = qp.gamma
+    x = qp.proj(np.zeros(N) if x0 is None else np.asarray(x0, dtype=float))
     v = x.copy()
     t = 1.0
-    f_x = obj(x)
-    history = [f_x]
-    converged = False
+    f_x = qp.obj(x)
     it = 0
     for it in range(1, max_iter + 1):
-        cand = proj(v - gamma * grad(v))
-        f_cand = obj(cand)
+        cand = qp.proj(v - gamma * qp.grad(v))
+        f_cand = qp.obj(cand)
         if f_cand > f_x:
             # momentum overshot: restart and take a plain descent step
-            cand = proj(x - gamma * grad(x))
-            f_cand = obj(cand)
+            cand = qp.proj(x - gamma * qp.grad(x))
+            f_cand = qp.obj(cand)
             t = 1.0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         v = cand + ((t - 1.0) / t_next) * (cand - x)
         x, f_x, t = cand, f_cand, t_next
-        history.append(f_x)
-        if np.linalg.norm(x - proj(x - gamma * grad(x))) <= tol:
-            converged = True
+        if qp.fixed_point(x, tol):
             break
-    # Active-set polish: the gradient method stalls on near-singular A
-    # (solution error can sit orders of magnitude above the fixed-point
-    # residual along tiny-singular-value directions).  Snap near-bound
-    # coordinates, solve the free block exactly, keep the result only if
-    # the objective strictly decreases, so monotonicity is preserved.
-    for snap in (1e-3, 1e-6, 1e-9) if polish else ():
-        lo_act = x - lower <= snap
-        hi_act = upper - x <= snap
-        cand = np.where(lo_act, lower, np.where(hi_act, upper, x))
-        free = ~(lo_act | hi_act)
-        if np.any(free):
-            r = b - A[:, ~free] @ cand[~free]
-            Af = A[:, free]
-            sol = np.linalg.lstsq(Af.T @ Af, Af.T @ r - q[free], rcond=None)[0]
-            cand[free] = np.clip(sol, lower[free], upper[free])
-        f_cand = obj(cand)
-        if f_cand < f_x:
-            x, f_x = cand, f_cand
-            history.append(f_x)
-    converged = bool(np.linalg.norm(x - proj(x - gamma * grad(x))) <= tol)
-    return BoxLsResult(x=x,
-                       residual_norm=float(np.linalg.norm(A @ x - b)),
-                       iterations=it,
-                       converged=converged,
-                       objective_history=history)
+    if polish:
+        x = qp.polish(x)
+    return qp.result(x, it, tol)
 
 
 def solve_box_ls(A, b, lower, upper, tol=1e-10, max_iter=None) -> BoxLsResult:
-    """min ||Ax-b||_2 over the box (the zero-linear-term case of the QP)."""
-    return solve_box_qp(A, b, lower, upper, linear=None, tol=tol, max_iter=max_iter)
+    """min ||Ax-b||_2 over the box, by scipy's trust-region reflective
+    method, polished when its point misses the fixed point.  ``max_iter``
+    caps the TRF iterations (scipy's default of 100 when None);
+    ``converged`` is the projected-gradient fixed-point test at ``tol``."""
+    qp = _BoxQp(A, b, lower, upper, None)
+    res = lsq_linear(qp.A, qp.b, bounds=(qp.lower, qp.upper), method="trf",
+                     tol=tol, max_iter=max_iter)
+    x = qp.proj(res.x)
+    # TRF's iterates stay strictly inside the box, so they often end short of
+    # the fixed point; only then polish.  Polishing a point that already
+    # passes would only trade one minimizer for another, snapping towards a
+    # vertex of the box where the least-squares solution set is wide.
+    if not qp.fixed_point(x, tol):
+        x = qp.polish(x)
+    return qp.result(x, res.nit, tol)

@@ -7,7 +7,7 @@ artifact hinges on this reduction; it is applied here and nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,12 +18,22 @@ PROGRAMS = ("box_bp", "box_bp_mirror", "mibi_bp", "robust_box_bp", "box_ls")
 
 DEFAULT_SUCCESS_TOL = 1e-4
 
+# mibi_bp takes the mirror branch only when its distance to its own rounding
+# is smaller than the plain branch's by more than this.  HiGHS returns
+# vertices that are integral only to about 1e-9, so an exact comparison
+# would break ties between two binary candidates at random.
+MIBI_TIE_TOL = 1e-7
+
 
 @dataclass
 class RecoveryProblem:
+    """One instance.  Treat it as immutable: the box-BP LPs solved on it are
+    kept, so that every program run on the same problem solves each LP once."""
+
     A: DenseMatrix
     b: np.ndarray
     eta: float | None = None
+    _bp_reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.A, np.ndarray):
@@ -45,10 +55,16 @@ class RecoveryReport:
 
     @property
     def feasible(self) -> bool:
-        return self.solver_status in ("optimal", "converged", "max_iter")
+        return self.solver_status in ("optimal", "converged")
 
 
 def _bp_lp(p: RecoveryProblem, mirror: bool) -> RecoveryReport:
+    if mirror not in p._bp_reports:
+        p._bp_reports[mirror] = _solve_bp_lp(p, mirror)
+    return p._bp_reports[mirror]
+
+
+def _solve_bp_lp(p: RecoveryProblem, mirror: bool) -> RecoveryReport:
     A = p.A.entries
     N = A.shape[1]
     c = -np.ones(N) if mirror else np.ones(N)
@@ -85,15 +101,20 @@ def round_to_binary(x: np.ndarray) -> np.ndarray:
 
 def mibi_bp(p: RecoveryProblem) -> RecoveryReport:
     """Mirrored binary basis pursuit: run both programs, keep the candidate
-    closest to its own integer rounding (ties go to the plain branch)."""
+    closest to its own integer rounding (ties, to within MIBI_TIE_TOL, go to
+    the plain branch)."""
     if p.eta is not None:
         raise ValueError("mibi_bp is noiseless")
     plain = _bp_lp(p, mirror=False)
     mirrored = _bp_lp(p, mirror=True)
-    cands = [(r, name) for r, name in ((plain, "plain"), (mirrored, "mirror")) if r.x_hat is not None]
-    if not cands:
+    if plain.x_hat is None and mirrored.x_hat is None:
         return RecoveryReport(None, "mibi_bp", np.nan, "infeasible")
-    best, branch = min(cands, key=lambda t: float(np.linalg.norm(round_to_binary(t[0].x_hat) - t[0].x_hat)))
+
+    def gap(r):
+        return np.inf if r.x_hat is None else float(np.linalg.norm(round_to_binary(r.x_hat) - r.x_hat))
+
+    best, branch = ((mirrored, "mirror") if gap(mirrored) < gap(plain) - MIBI_TIE_TOL
+                    else (plain, "plain"))
     return RecoveryReport(best.x_hat, "mibi_bp", best.objective, "optimal", branch_chosen=branch)
 
 

@@ -2,7 +2,9 @@
 
 The LP oracle enumerates basic solutions directly (choose basic columns,
 pin every nonbasic variable at one of its bounds, solve the square system)
-and therefore shares no code path with the simplex implementation.
+and therefore shares no code path with the LP solver.  The KKT oracles
+judge a returned point by the optimality conditions alone, so they apply at
+sizes enumeration cannot reach.
 """
 
 from __future__ import annotations
@@ -70,3 +72,63 @@ def random_bounded_lp(rng, max_n=8, max_p=4):
     else:
         b = rng.standard_normal(p)
     return c, A, b, lower, upper
+
+
+def lp_kkt_violations(c, A_eq, b_eq, lower, upper, x, y=None, bound_tol=1e-9):
+    """How far x is from optimal for min c.x s.t. A_eq x = b_eq,
+    lower <= x <= upper (finite bounds).
+
+    The equality multipliers y are recomputed by least squares on the free
+    columns, those more than ``bound_tol`` inside both bounds.  That
+    determines y at a nondegenerate vertex.  At a degenerate one (fewer
+    free columns than independent rows, as at a recovered binary signal,
+    where no column is free) pass candidate multipliers as ``y``: they are
+    checked, not trusted.  With reduced costs r = c - A^T y, optimality
+    needs r >= 0 at lower bounds, r <= 0 at upper bounds and r = 0 on free
+    columns, and then the dual value y.b + sum_j min(r_j l_j, r_j u_j)
+    equals c.x; any y passing both proves x optimal by weak duality.
+    Returns the violations: primal residual ||Ax - b||_inf relative to
+    max(1, ||b||_inf), box, reduced-cost signs, and the duality gap
+    relative to max(1, |c.x|).
+    """
+    c, A, b, lower, upper, x = (np.asarray(v, dtype=float)
+                                for v in (c, A_eq, b_eq, lower, upper, x))
+    at_lo = x <= lower + bound_tol
+    at_hi = ~at_lo & (x >= upper - bound_tol)
+    free = ~(at_lo | at_hi)
+    if y is None:
+        y = np.linalg.lstsq(A[:, free].T, c[free], rcond=None)[0]
+    r = c - A.T @ y
+    sign = np.concatenate([np.abs(r[free]), -r[at_lo], r[at_hi], [0.0]])
+    primal = float(c @ x)
+    dual = float(y @ b) + float(np.sum(np.minimum(r * lower, r * upper)))
+    return {
+        "primal": float(np.max(np.abs(A @ x - b), initial=0.0))
+        / max(1.0, float(np.max(np.abs(b), initial=0.0))),
+        "box": float(max(np.max(lower - x), np.max(x - upper), 0.0)),
+        "reduced_cost": float(np.max(sign)),
+        "gap": abs(primal - dual) / max(1.0, abs(primal)),
+    }
+
+
+def box_qp_kkt_violations(A, b, lower, upper, x, linear=None, bound_tol=1e-9):
+    """How far x is from optimal for min 0.5*||Ax - b||^2 + linear.x over
+    lower <= x <= upper: the box violation and the largest breach of the
+    gradient's sign conditions (g = 0 on free coordinates, g >= 0 at lower
+    bounds, g <= 0 at upper bounds).  The problem is convex, so both at
+    zero make x a minimizer."""
+    A = np.asarray(A, dtype=float)
+    x = np.asarray(x, dtype=float)
+    lower = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
+    upper = np.broadcast_to(np.asarray(upper, dtype=float), x.shape)
+    g = A.T @ (A @ x - np.asarray(b, dtype=float))
+    if linear is not None:
+        g = g + np.asarray(linear, dtype=float)
+    at_lo = x <= lower + bound_tol
+    at_hi = ~at_lo & (x >= upper - bound_tol)
+    free = ~(at_lo | at_hi)
+    sign = np.concatenate([np.abs(g[free]), -g[at_lo], g[at_hi], [0.0]])
+    return {
+        "box": float(max(np.max(lower - x), np.max(x - upper), 0.0)),
+        "gradient": float(np.max(sign)),
+    }

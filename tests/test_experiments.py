@@ -135,6 +135,25 @@ def test_heatmap_wellformed_xml_with_axes(tmp_path):
         render_heatmap(d, "box_ls", str(tmp_path / "bad.svg"))
 
 
+def test_run_cell_solves_each_lp_once_per_trial(monkeypatch):
+    # box_bp and mibi_bp share box-BP's LP: two LPs per trial, not three
+    import binrec.recovery
+    calls = []
+    solve_lp = binrec.recovery.solve_lp
+
+    def counted(p):
+        calls.append(p)
+        return solve_lp(p)
+
+    monkeypatch.setattr(binrec.recovery, "solve_lp", counted)
+    cfg = _small_config(programs=("box_bp", "mibi_bp"))
+    records = run_cell(cfg, 0, 0)
+    assert len(calls) == 2 * cfg.trials
+    assert len({(bool(p.c[0] > 0), p.b_eq.tobytes()) for p in calls}) == len(calls)
+    mibi = [r for r in records if r.program == "mibi_bp"]
+    assert len(mibi) == cfg.trials and all(r.solver_status == "optimal" for r in mibi)
+
+
 def test_solver_failures_recorded_not_raised():
     # robust_box_bp with eta = 0 delegates to the LP; an unreachable b makes
     # the trial infeasible, which must be logged rather than aborting

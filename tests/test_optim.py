@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binrec.analysis import ConeSpec, check_kernel_cone
+from binrec.ensembles import EnsembleConfig, gen_matrix, gen_sparse_binary
 from binrec.optim import (LpProblem, SolverFailure, TOL_FEAS, _lipschitz,
-                          lp_feasible, solve_box_ls, solve_lp)
+                          lp_feasible, solve_box_ls, solve_box_qp, solve_lp)
 
-from oracles import enumerate_lp_optimum, random_bounded_lp
+from oracles import (box_qp_kkt_violations, enumerate_lp_optimum, lp_kkt_violations,
+                     random_bounded_lp)
 
 
 def test_min_single_variable_on_unit_interval():
@@ -132,6 +134,28 @@ def test_redundant_rows_handled():
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("k, m, seed, degenerate", [
+    # x0 is the optimum, a vertex with no free coordinate; a dense bounded
+    # simplex ran into its iteration limit here
+    (30, 90, 30_900, True),
+    # a fractional vertex with m free coordinates
+    (30, 60, 30_600, False),
+])
+def test_biased_n300_box_bp_meets_kkt(k, m, seed, degenerate):
+    # box-BP on the desk ensemble's biased {0, 2} matrix at N=300
+    N = 300
+    A = gen_matrix(EnsembleConfig(kind="biased", m=m, N=N, mu=1.0, sigma=1.0,
+                                  lambda_bound=1.0, seed=seed)).entries
+    x0 = gen_sparse_binary(N, k, seed=seed + 1).dense()
+    b = A @ x0
+    sol = solve_lp(LpProblem(c=np.ones(N), A_eq=A, b_eq=b, lower=np.zeros(N), upper=np.ones(N)))
+    assert sol.status == "optimal"
+    assert (np.linalg.norm(sol.x - x0) <= 1e-8) == degenerate
+    violations = lp_kkt_violations(np.ones(N), A, b, np.zeros(N), np.ones(N), sol.x,
+                                   y=sol.dual_eq if degenerate else None)
+    assert max(violations.values()) <= 1e-7, violations
+
+
 def test_inconsistent_dimensions_rejected():
     with pytest.raises(ValueError):
         LpProblem(c=[1.0, 2.0], A_eq=[[1.0]], b_eq=[1.0])
@@ -167,16 +191,30 @@ def test_box_ls_identity_projects_onto_box():
     assert np.allclose(res.x, np.ones(4), atol=1e-9)
 
 
-def test_box_ls_objective_monotone_and_fixed_point():
+def test_box_ls_point_meets_kkt():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((15, 25))
     b = rng.standard_normal(15)
     res = solve_box_ls(A, b, 0.0, 1.0, tol=1e-10)
-    hist = np.array(res.objective_history)
-    assert np.all(np.diff(hist) <= 1e-12)
+    assert res.converged
+    violations = box_qp_kkt_violations(A, b, 0.0, 1.0, res.x)
+    assert max(violations.values()) <= 1e-8, violations
     gamma = 1.0 / (np.linalg.norm(A, 2) ** 2)
     fp = res.x - np.clip(res.x - gamma * (A.T @ (A @ res.x - b)), 0.0, 1.0)
     assert np.linalg.norm(fp) <= 1e-8
+
+
+def test_box_qp_linear_term_point_meets_kkt():
+    # the subproblem form robust_box_bp's ADMM solves: a linear term pushes
+    # coordinates onto the lower bound
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((15, 25))
+    b = A @ rng.uniform(0.0, 1.0, 25)
+    q = np.full(25, 0.5)
+    res = solve_box_qp(A, b, 0.0, 1.0, linear=q, tol=1e-10)
+    assert res.converged
+    violations = box_qp_kkt_violations(A, b, 0.0, 1.0, res.x, linear=q)
+    assert max(violations.values()) <= 1e-8, violations
 
 
 def test_box_ls_unique_feasible_point_recovered():

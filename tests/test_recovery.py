@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
-from binrec.recovery import (DEFAULT_SUCCESS_TOL, RecoveryProblem, box_bp,
-                             box_bp_mirror, box_ls, mibi_bp, recovery_success,
+from binrec.experiments import _mix, trial_seed
+from binrec.recovery import (DEFAULT_SUCCESS_TOL, RecoveryProblem, RecoveryReport,
+                             box_bp, box_bp_mirror, box_ls, mibi_bp, recovery_success,
                              robust_box_bp, round_to_binary, solve)
 
 
@@ -156,6 +157,21 @@ def test_box_ls_wrapper():
     assert np.linalg.norm(rep.x_hat - x0) <= 1e-6
 
 
+def test_box_ls_keeps_its_own_minimizer_when_the_feasible_set_is_wide():
+    # desk-sweep trial k=80, m=40 (master seed 21): {x in box: Ax = Ax0}
+    # reaches 14.7 from x0 in l1.  A finished TRF point is returned as is;
+    # polishing it would snap it onto the vertex x0 and claim a recovery
+    # that the program does not determine.
+    seed = trial_seed(21, 2, 1, 0)
+    A = gen_matrix(EnsembleConfig(kind="biased", m=40, N=100, mu=1.0, sigma=1.0,
+                                  lambda_bound=1.0, seed=_mix(seed, 0)))
+    x0 = gen_sparse_binary(100, 80, seed=_mix(seed, 1)).dense()
+    rep = box_ls(RecoveryProblem(A, A.entries @ x0))
+    assert rep.solver_status == "converged"
+    assert rep.objective <= 1e-8
+    assert np.linalg.norm(rep.x_hat - x0) >= 1.0
+
+
 def test_recovery_success_criterion():
     x0 = gen_sparse_binary(10, 4, seed=0)
     assert recovery_success(x0.dense(), x0)
@@ -166,6 +182,15 @@ def test_recovery_success_criterion():
     assert not recovery_success(None, x0)
     with pytest.raises(ValueError):
         recovery_success(np.zeros(9), x0)
+
+
+def test_feasible_only_for_finished_solves():
+    # a solve stopped at its iteration cap proves nothing about its point
+    assert not RecoveryReport(None, "robust_box_bp", np.nan, "max_iter").feasible
+    assert not RecoveryReport(np.zeros(3), "box_ls", 1.0, "max_iter").feasible
+    assert not RecoveryReport(None, "box_bp", np.nan, "infeasible").feasible
+    assert RecoveryReport(np.zeros(3), "box_ls", 1.0, "converged").feasible
+    assert RecoveryReport(np.zeros(3), "box_bp", 0.0, "optimal").feasible
 
 
 def test_solve_dispatch():
