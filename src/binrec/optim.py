@@ -2,11 +2,11 @@
 box-constrained quadratics.
 
 LPs go to scipy's HiGHS dual simplex and box-constrained least squares to
-scipy's trust-region reflective method (``lsq_linear(method="trf")``).  Only
-the box-QP with a linear term, which ``robust_box_bp``'s ADMM needs, is
-solved here, by accelerated projected gradient.  Both box solvers share one
-active-set polish and report convergence by the same projected-gradient
-fixed-point test.
+scipy's trust-region reflective method (``lsq_linear(method="trf")``).  The
+box-QP with a linear term is solved here, by accelerated projected
+gradient; the acceptance tests use it without its polish as a multi-start
+uniqueness probe.  Both box solvers share one active-set polish and report
+convergence by the same projected-gradient fixed-point test.
 
 Box-LS deliberately avoids scipy's BVLS: it is an active-set method and
 lands on a vertex of the box when the least-squares solution set is not a
@@ -127,6 +127,9 @@ class BoxLsResult:
     residual_norm: float
     iterations: int
     converged: bool
+    # converged | max_iter (the iteration cap stopped the solver short of the
+    # fixed point) | stalled (the solver stopped on its own short of it)
+    status: str
 
 
 def _lipschitz(A: np.ndarray) -> float:
@@ -194,11 +197,14 @@ class _BoxQp:
                 x, f_x = cand, f_cand
         return x
 
-    def result(self, x, iterations, tol) -> BoxLsResult:
+    def result(self, x, iterations, tol, capped) -> BoxLsResult:
+        """``capped``: the solver stopped at its iteration cap."""
+        converged = self.fixed_point(x, tol)
         return BoxLsResult(x=x,
                            residual_norm=float(np.linalg.norm(self.A @ x - self.b)),
                            iterations=iterations,
-                           converged=self.fixed_point(x, tol))
+                           converged=converged,
+                           status="converged" if converged else "max_iter" if capped else "stalled")
 
 
 def solve_box_qp(A, b, lower, upper, linear=None, tol=1e-10, max_iter=None, x0=None,
@@ -234,14 +240,15 @@ def solve_box_qp(A, b, lower, upper, linear=None, tol=1e-10, max_iter=None, x0=N
             break
     if polish:
         x = qp.polish(x)
-    return qp.result(x, it, tol)
+    return qp.result(x, it, tol, capped=it >= max_iter)
 
 
 def solve_box_ls(A, b, lower, upper, tol=1e-10, max_iter=None) -> BoxLsResult:
     """min ||Ax-b||_2 over the box, by scipy's trust-region reflective
     method, polished when its point misses the fixed point.  ``max_iter``
     caps the TRF iterations (scipy's default of 100 when None);
-    ``converged`` is the projected-gradient fixed-point test at ``tol``."""
+    ``converged`` is the projected-gradient fixed-point test at ``tol``, and
+    a point that misses it is ``max_iter`` only when TRF hit that cap."""
     qp = _BoxQp(A, b, lower, upper, None)
     res = lsq_linear(qp.A, qp.b, bounds=(qp.lower, qp.upper), method="trf",
                      tol=tol, max_iter=max_iter)
@@ -252,4 +259,5 @@ def solve_box_ls(A, b, lower, upper, tol=1e-10, max_iter=None) -> BoxLsResult:
     # vertex of the box where the least-squares solution set is wide.
     if not qp.fixed_point(x, tol):
         x = qp.polish(x)
-    return qp.result(x, res.nit, tol)
+    # lsq_linear's status 0 is its iteration limit
+    return qp.result(x, res.nit, tol, capped=res.status == 0)

@@ -132,3 +132,38 @@ def box_qp_kkt_violations(A, b, lower, upper, x, linear=None, bound_tol=1e-9):
         "box": float(max(np.max(lower - x), np.max(x - upper), 0.0)),
         "gradient": float(np.max(sign)),
     }
+
+
+def robust_kkt_violations(A, b, eta, x, bound_tol=1e-9):
+    """How far x is from optimal for min 1.x s.t. ||Ax - b|| <= eta,
+    0 <= x <= 1 (eta > 0).
+
+    With r = Ax - b, the Lagrangian's gradient in x is g = 1 + mu A^T r for
+    the ball's multiplier mu >= 0 (on the ball written 0.5*||r||^2 <=
+    0.5*eta^2).  mu is recovered by least squares on the free coordinates,
+    those more than ``bound_tol`` inside the box; with none free it is 0,
+    the inactive-ball case.  Optimality needs g = 0 on free coordinates,
+    g >= 0 at 0, g <= 0 at 1, mu >= 0 and mu*(eta - ||r||) = 0; the program
+    is convex, so these make x a minimizer.  Returns the violations: ball
+    (||r|| - eta), box, multiplier sign, stationarity on the free
+    coordinates, the bound signs and complementary slackness.
+    """
+    A = np.asarray(A, dtype=float)
+    x = np.asarray(x, dtype=float)
+    r = A @ x - np.asarray(b, dtype=float)
+    v = A.T @ r
+    at_lo = x <= bound_tol
+    at_hi = ~at_lo & (x >= 1.0 - bound_tol)
+    free = ~(at_lo | at_hi)
+    vf = v[free]
+    mu = -float(np.sum(vf)) / float(vf @ vf) if np.any(free) and vf @ vf > 0 else 0.0
+    g = 1.0 + mu * v
+    norm_r = float(np.linalg.norm(r))
+    return {
+        "ball": max(norm_r - eta, 0.0),
+        "box": float(max(np.max(-x), np.max(x - 1.0), 0.0)),
+        "multiplier": max(-mu, 0.0),
+        "stationarity": float(np.max(np.abs(g[free]), initial=0.0)),
+        "sign": float(np.max(np.concatenate([-g[at_lo], g[at_hi], [0.0]]))),
+        "slackness": mu * abs(eta - norm_r),
+    }

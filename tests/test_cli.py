@@ -66,6 +66,20 @@ def test_gen_and_solve_matches_library(capsys, tmp_path):
     assert payload["success"] is True
 
 
+def test_solve_robust_bp_reports_optimal(capsys, tmp_path):
+    mat = str(tmp_path / "A.txt")
+    sig = str(tmp_path / "x.txt")
+    assert run_cli(capsys, "gen-matrix", "--kind", "gaussian", "--m", "30",
+                   "--N", "40", "--seed", "7", "--out", mat)[0] == 0
+    assert run_cli(capsys, "gen-signal", "--N", "40", "--k", "4", "--seed", "8",
+                   "--out", sig)[0] == 0
+    code, out = run_cli(capsys, "--json", "solve", "--program", "robust-bp",
+                        "--matrix", mat, "--signal", sig,
+                        "--noise-eps", "0.1", "--eta", "0.1")
+    assert code == 0
+    assert json.loads(out)["status"] == "optimal"
+
+
 def test_solve_infeasible_exit_code(capsys, tmp_path):
     mat = tmp_path / "A.txt"
     mat.write_text("1 2\n1 1\n")

@@ -162,6 +162,13 @@ def test_solver_failures_recorded_not_raised():
     assert all(r.solver_status for r in d.records)
 
 
+def test_noisy_robust_sweep_records_only_optimal_solves():
+    cfg = _small_config(programs=("robust_box_bp",), noise_eps=0.1)
+    d = run_phase_transition(cfg)
+    assert len(d.records) == 12
+    assert all(r.solver_status == "optimal" for r in d.records)
+
+
 def test_success_rate_monotone_in_m_up_to_noise():
     cfg = _small_config(N=30, k_fractions=[0.2],
                         m_fractions=[0.2, 0.4, 0.6, 0.8, 1.0], trials=16,

@@ -205,8 +205,7 @@ def test_box_ls_point_meets_kkt():
 
 
 def test_box_qp_linear_term_point_meets_kkt():
-    # the subproblem form robust_box_bp's ADMM solves: a linear term pushes
-    # coordinates onto the lower bound
+    # a linear term pushes coordinates onto the lower bound
     rng = np.random.default_rng(4)
     A = rng.standard_normal((15, 25))
     b = A @ rng.uniform(0.0, 1.0, 25)
@@ -245,3 +244,4 @@ def test_box_ls_max_iter_flagged_not_raised():
     gamma = 1.0 / _lipschitz(A)
     fp = np.linalg.norm(res.x - np.clip(res.x - gamma * A.T @ (A @ res.x - b), 0.0, 1.0))
     assert res.converged == (fp <= 1e-10)
+    assert res.status == ("converged" if res.converged else "max_iter")

@@ -4,9 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
 from binrec.experiments import _mix, trial_seed
+from binrec.optim import solve_box_ls
 from binrec.recovery import (DEFAULT_SUCCESS_TOL, RecoveryProblem, RecoveryReport,
                              box_bp, box_bp_mirror, box_ls, mibi_bp, recovery_success,
                              robust_box_bp, round_to_binary, solve)
+from oracles import robust_kkt_violations
+
+BALL_TOL = 1e-9
 
 
 def _random_instance(rng, m, N, k):
@@ -143,10 +147,66 @@ def test_robust_noisy_recovery_close():
     eta = 0.05
     b = A.entries @ x0 + gen_noise(60, eta, seed=97)
     rep = robust_box_bp(RecoveryProblem(A, b, eta=eta))
-    assert rep.solver_status in ("optimal", "max_iter")
-    assert np.linalg.norm(A.entries @ rep.x_hat - b) <= eta + 1e-6
-    assert np.all((rep.x_hat >= -1e-8) & (rep.x_hat <= 1 + 1e-8))
+    assert rep.solver_status == "optimal"
+    assert np.linalg.norm(A.entries @ rep.x_hat - b) <= eta + BALL_TOL
+    assert np.all((rep.x_hat >= 0.0) & (rep.x_hat <= 1.0))
     assert np.linalg.norm(rep.x_hat - x0) <= 0.2
+
+
+def _noisy_robust_instance(cell, trial, N=100, eps=0.1):
+    """An instance of the benchmark's noisy-robust cells (k/N, m/N), on
+    seeds apart from the benchmark's."""
+    kf, mf = [(0.1, 0.5), (0.1, 0.8), (0.2, 0.8), (0.8, 0.9)][cell]
+    k, m = round(kf * N), round(mf * N)
+    s = 3 * (900_000 + 10 * cell + trial)
+    A = gen_matrix(EnsembleConfig(kind="biased", m=m, N=N, mu=1.0, sigma=1.0,
+                                  lambda_bound=1.0, seed=s)).entries
+    x0 = gen_sparse_binary(N, k, seed=s + 1).dense()
+    return A, A @ x0 + gen_noise(m, eps, seed=s + 2)
+
+
+@pytest.mark.parametrize("cell", range(4))
+def test_robust_point_meets_kkt(cell):
+    eta = 0.1
+    for trial in range(2):
+        A, b = _noisy_robust_instance(cell, trial, eps=eta)
+        rep = robust_box_bp(RecoveryProblem(A, b, eta=eta))
+        assert rep.solver_status == "optimal"
+        v = robust_kkt_violations(A, b, eta, rep.x_hat)
+        assert v["ball"] <= BALL_TOL and v["box"] == 0.0, v
+        assert max(v["multiplier"], v["stationarity"], v["sign"], v["slackness"]) <= 1e-5, v
+        # free coordinates make stationarity bind: 1 + mu A^T r = 0 there
+        # needs mu > 0, so the ball is active
+        assert np.sum((rep.x_hat > 1e-9) & (rep.x_hat < 1 - 1e-9)) >= 1
+    # the oracle rejects a feasible point that is not optimal: box-LS's own
+    ls = solve_box_ls(A, b, 0.0, 1.0).x
+    assert max(robust_kkt_violations(A, b, eta, ls).values()) > 1e-2
+
+
+def test_robust_kkt_oracle_accepts_the_inactive_ball():
+    A = np.array([[1.0, 2.0], [0.0, 1.0]])
+    b = np.array([0.05, 0.0])
+    assert max(robust_kkt_violations(A, b, 0.1, np.zeros(2)).values()) == 0.0
+    rep = robust_box_bp(RecoveryProblem(A, b, eta=0.1))
+    assert rep.solver_status == "optimal"
+    assert np.max(rep.x_hat) <= 1e-9
+    assert max(robust_kkt_violations(A, b, 0.1, rep.x_hat).values()) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_optimal_robust_points_meet_box_and_ball(seed):
+    rng = np.random.default_rng(seed)
+    m, N = int(rng.integers(1, 7)), int(rng.integers(2, 9))
+    A, x0 = _random_instance(rng, m, N, int(rng.integers(0, N + 1)))
+    eta = float(rng.uniform(0.01, 1.0))
+    noise = rng.standard_normal(m)
+    b = A @ x0 + rng.uniform(0.0, 1.0) * eta * noise / max(np.linalg.norm(noise), 1e-12)
+    rep = robust_box_bp(RecoveryProblem(A, b, eta=eta))
+    assert rep.solver_status in ("optimal", "max_iter", "stalled")
+    if rep.solver_status == "optimal":
+        assert np.all((rep.x_hat >= 0.0) & (rep.x_hat <= 1.0))
+        assert np.linalg.norm(A @ rep.x_hat - b) <= eta + BALL_TOL
 
 
 def test_box_ls_wrapper():
@@ -172,6 +232,18 @@ def test_box_ls_keeps_its_own_minimizer_when_the_feasible_set_is_wide():
     assert np.linalg.norm(rep.x_hat - x0) >= 1.0
 
 
+def test_box_ls_stalled_short_of_its_cap_is_not_max_iter():
+    # desk-sweep trial k=10, m=30 (master seed 12): TRF stops on its own
+    # tolerance after 15 of its 100 iterations, short of the fixed point
+    seed = trial_seed(12, 0, 0, 5)
+    A = gen_matrix(EnsembleConfig(kind="biased", m=30, N=100, mu=1.0, sigma=1.0,
+                                  lambda_bound=1.0, seed=_mix(seed, 0)))
+    x0 = gen_sparse_binary(100, 10, seed=_mix(seed, 1)).dense()
+    rep = box_ls(RecoveryProblem(A, A.entries @ x0))
+    assert rep.solver_status == "stalled"
+    assert not rep.feasible
+
+
 def test_recovery_success_criterion():
     x0 = gen_sparse_binary(10, 4, seed=0)
     assert recovery_success(x0.dense(), x0)
@@ -185,9 +257,12 @@ def test_recovery_success_criterion():
 
 
 def test_feasible_only_for_finished_solves():
-    # a solve stopped at its iteration cap proves nothing about its point
+    # a solve stopped at its iteration cap, or stalled short of its own
+    # test, proves nothing about its point
     assert not RecoveryReport(None, "robust_box_bp", np.nan, "max_iter").feasible
     assert not RecoveryReport(np.zeros(3), "box_ls", 1.0, "max_iter").feasible
+    assert not RecoveryReport(np.zeros(3), "box_ls", 1.0, "stalled").feasible
+    assert not RecoveryReport(np.zeros(3), "robust_box_bp", 1.0, "stalled").feasible
     assert not RecoveryReport(None, "box_bp", np.nan, "infeasible").feasible
     assert RecoveryReport(np.zeros(3), "box_ls", 1.0, "converged").feasible
     assert RecoveryReport(np.zeros(3), "box_bp", 0.0, "optimal").feasible
