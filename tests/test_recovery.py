@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
 from binrec.experiments import _mix, trial_seed
-from binrec.optim import solve_box_ls
 from binrec.recovery import (DEFAULT_SUCCESS_TOL, RecoveryProblem, RecoveryReport,
                              box_bp, box_bp_mirror, box_ls, mibi_bp, recovery_success,
                              robust_box_bp, round_to_binary, solve)
@@ -179,7 +178,7 @@ def test_robust_point_meets_kkt(cell):
         # needs mu > 0, so the ball is active
         assert np.sum((rep.x_hat > 1e-9) & (rep.x_hat < 1 - 1e-9)) >= 1
     # the oracle rejects a feasible point that is not optimal: box-LS's own
-    ls = solve_box_ls(A, b, 0.0, 1.0).x
+    ls = box_ls(RecoveryProblem(A, b)).x_hat
     assert max(robust_kkt_violations(A, b, eta, ls).values()) > 1e-2
 
 
