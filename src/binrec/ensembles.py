@@ -7,6 +7,15 @@ sign stream per seed, and the biased ensemble with a Rademacher base draws
 from the same stream, so the algebraic relations between them hold exactly:
 sqrt(m) * bernoulli01 == (ones + sqrt(m) * rademacher) / 2, and
 biased(mu) - biased(0) == mu * ones.
+
+Every kind allocates its m x N output once and fills it in one row-major
+pass over cache-sized blocks: each block is drawn from the seed's stream and
+then finished in place by the kind's scalar operations.  The sign stream is
+read straight from Philox's raw 64-bit output, and the result is bit for bit
+the matrix ``2 * Generator(Philox(key=seed)).integers(0, 2, (m, N)) - 1``
+gives.  Since the stream is consumed in row-major order, the first m rows of
+an m_max x N draw equal the m x N draw with the same seed (up to the m^{-1/2}
+row scale of the scaled kinds).
 """
 
 from __future__ import annotations
@@ -124,33 +133,63 @@ def _rng(seed: int) -> Generator:
     return Generator(Philox(key=seed))
 
 
-def _sign_matrix(m: int, N: int, seed: int) -> np.ndarray:
-    return 2.0 * _rng(seed).integers(0, 2, size=(m, N)).astype(float) - 1.0
+# Entries per fill block: small enough to stay in cache, and even, so every
+# block of signs starts on a whole 64-bit word of Philox's raw stream.
+_BLOCK = 1 << 15
 
 
-def _centered_part(config: EnsembleConfig) -> np.ndarray:
-    if config.base_dist == "rademacher_scaled":
-        return config.sigma * _sign_matrix(config.m, config.N, config.seed)
-    # uniform on [-sqrt(3) sigma, sqrt(3) sigma] has variance sigma^2
-    half = math.sqrt(3.0) * config.sigma
-    return _rng(config.seed).uniform(-half, half, size=(config.m, config.N))
+def _sign_draw(seed: int):
+    """Fill blocks with the signs 2 b - 1 of ``Generator.integers(0, 2)``."""
+    bits = Philox(key=seed)
+
+    def draw(block: np.ndarray) -> None:
+        # integers(0, 2) is the top bit of each 32-bit half of the raw
+        # stream, low half first (numpy's Lemire path for a range of 2);
+        # the little-endian view keeps that order on any host
+        raw = bits.random_raw((block.size + 1) // 2)
+        halves = raw.astype("<u8", copy=False).view("<u4")[:block.size]
+        np.right_shift(halves, 31, out=halves)
+        np.multiply(halves, 2.0, out=block)
+        block -= 1.0
+
+    return draw
+
+
+def _fill(m: int, N: int, draw, ops) -> np.ndarray:
+    """The m x N matrix of consecutive blocks of ``draw``, each finished by
+    the in-place scalar operations ``ops``, a sequence of (ufunc, scalar)."""
+    out = np.empty(m * N)
+    for start in range(0, out.size, _BLOCK):
+        block = out[start:start + _BLOCK]
+        draw(block)
+        for op, c in ops:
+            op(block, c, out=block)
+    return out.reshape(m, N)
 
 
 def gen_matrix(config: EnsembleConfig) -> DenseMatrix:
     """Draw a measurement matrix; deterministic given config and seed."""
-    m, N = config.m, config.N
+    m, N, seed = config.m, config.N, config.seed
     scale = 1.0 / math.sqrt(m)
     if config.kind == "gaussian":
-        entries = scale * _rng(config.seed).standard_normal((m, N))
+        rng = _rng(seed)
+        draw, ops = (lambda block: rng.standard_normal(out=block)), [(np.multiply, scale)]
     elif config.kind == "rademacher":
-        entries = scale * _sign_matrix(m, N, config.seed)
+        draw, ops = _sign_draw(seed), [(np.multiply, scale)]
     elif config.kind == "bernoulli01":
-        entries = scale * (1.0 + _sign_matrix(m, N, config.seed)) / 2.0
+        # scale * (1 + s) / 2, in that order
+        draw, ops = _sign_draw(seed), [(np.add, 1.0), (np.multiply, scale),
+                                       (np.divide, 2.0)]
+    elif config.base_dist == "rademacher_scaled":
+        draw, ops = _sign_draw(seed), [(np.multiply, config.sigma), (np.add, config.mu)]
     else:
-        entries = config.mu + _centered_part(config)
-        if config.normalized:
-            entries = scale * entries
-    return DenseMatrix(entries, provenance=config)
+        # uniform on [-sqrt(3) sigma, sqrt(3) sigma] has variance sigma^2
+        rng, half = _rng(seed), math.sqrt(3.0) * config.sigma
+        draw = lambda block: np.copyto(block, rng.uniform(-half, half, block.size))
+        ops = [(np.add, config.mu)]
+    if config.kind == "biased" and config.normalized:
+        ops.append((np.multiply, scale))
+    return DenseMatrix(_fill(m, N, draw, ops), provenance=config)
 
 
 def gen_sparse_binary(N: int, k: int, seed: int = 0) -> BinarySignal:

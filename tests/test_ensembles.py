@@ -4,10 +4,43 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.random import Generator, Philox
 
-from binrec.ensembles import (BinarySignal, EnsembleConfig, gen_matrix,
-                              gen_noise, gen_sparse_binary, read_matrix,
-                              read_signal, write_matrix, write_signal)
+from binrec.ensembles import (_BLOCK, BASE_DISTS, MATRIX_KINDS, BinarySignal,
+                              EnsembleConfig, gen_matrix, gen_noise,
+                              gen_sparse_binary, read_matrix, read_signal,
+                              write_matrix, write_signal)
+
+# m*N odd and even within one block, then spanning several blocks with a
+# partial last block (odd and even)
+STREAM_SHAPES = [(1, 1), (7, 11), (4, 6), (131, 507), (257, 300)]
+# base_dist and normalized only matter for the biased kind
+STREAM_CASES = ([(kind, "rademacher_scaled", False) for kind in MATRIX_KINDS[:3]]
+                + [("biased", base, normalized) for base in BASE_DISTS
+                   for normalized in (False, True)])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _stream_formula(kind, m, N, seed, mu, sigma, base_dist, normalized):
+    """The matrix each kind is defined as, drawn whole from the Generator."""
+    rng = Generator(Philox(key=seed))
+    scale = 1.0 / math.sqrt(m)
+    signs = lambda: 2.0 * rng.integers(0, 2, size=(m, N)).astype(float) - 1.0
+    if kind == "gaussian":
+        return scale * rng.standard_normal((m, N))
+    if kind == "rademacher":
+        return scale * signs()
+    if kind == "bernoulli01":
+        return scale * (1.0 + signs()) / 2.0
+    if base_dist == "rademacher_scaled":
+        entries = mu + sigma * signs()
+    else:
+        half = math.sqrt(3.0) * sigma
+        entries = mu + rng.uniform(-half, half, size=(m, N))
+    return scale * entries if normalized else entries
 
 
 def test_bernoulli_entries_take_two_values():
@@ -67,7 +100,45 @@ def test_normalized_flag_scales_biased():
     kw = dict(kind="biased", m=9, N=4, mu=1.0, sigma=1.0, lambda_bound=1.0, seed=2)
     raw = gen_matrix(EnsembleConfig(normalized=False, **kw)).entries
     scaled = gen_matrix(EnsembleConfig(normalized=True, **kw)).entries
-    assert np.allclose(scaled, raw / 3.0)
+    assert np.array_equal(scaled, (1.0 / math.sqrt(9)) * raw)
+
+
+@pytest.mark.parametrize("kind,base_dist,normalized", STREAM_CASES)
+def test_gen_matrix_is_the_generator_stream_bit_for_bit(kind, base_dist, normalized):
+    # pins numpy's stream: the blocked raw-Philox fill must equal the whole
+    # Generator draw, so a change in numpy's bounded-integer path fails here
+    assert all(m * N > 2 * _BLOCK and m * N % _BLOCK for m, N in STREAM_SHAPES[3:])
+    mu, sigma = 0.7, 0.4
+    for m, N in STREAM_SHAPES:
+        for seed in (0, 12_345, 2**63 - 1):
+            cfg = EnsembleConfig(kind=kind, m=m, N=N, mu=mu, sigma=sigma,
+                                 lambda_bound=0.7, base_dist=base_dist,
+                                 seed=seed, normalized=normalized)
+            expected = _stream_formula(kind, m, N, seed, mu, sigma, base_dist,
+                                       normalized)
+            assert _same_bits(gen_matrix(cfg).entries, expected), (m, N, seed)
+
+
+@pytest.mark.parametrize("kind,base_dist", [("rademacher", "rademacher_scaled"),
+                                            ("bernoulli01", "rademacher_scaled"),
+                                            ("gaussian", "rademacher_scaled"),
+                                            ("biased", "rademacher_scaled"),
+                                            ("biased", "uniform_bounded")])
+def test_row_prefix_of_a_taller_draw(kind, base_dist):
+    # the first m rows of an m_max x N draw are the m x N draw: bit for bit
+    # for the unscaled biased kind, and up to the m^{-1/2} row scale (which
+    # rounds differently at m and m_max) for the scaled kinds
+    m_max, N, seed = 2 * _BLOCK // 51 + 3, 51, 31
+    for m in (1, 2, 37, _BLOCK // N + 1, m_max - 1):
+        kw = dict(kind=kind, N=N, mu=0.5, sigma=0.5, lambda_bound=0.9,
+                  base_dist=base_dist, seed=seed)
+        tall = gen_matrix(EnsembleConfig(m=m_max, **kw)).entries[:m]
+        short = gen_matrix(EnsembleConfig(m=m, **kw)).entries
+        if kind == "biased":
+            assert _same_bits(tall, short), m
+        else:
+            assert np.allclose(math.sqrt(m_max) * tall, math.sqrt(m) * short,
+                               rtol=4 * np.finfo(float).eps, atol=0.0), m
 
 
 def test_config_validation():
