@@ -16,11 +16,22 @@ the matrix ``2 * Generator(Philox(key=seed)).integers(0, 2, (m, N)) - 1``
 gives.  Since the stream is consumed in row-major order, the first m rows of
 an m_max x N draw equal the m x N draw with the same seed (up to the m^{-1/2}
 row scale of the scaled kinds).
+
+Philox is counter-based, so ``Philox.advance`` reaches any block of the
+stream without drawing the blocks before it.  A large sign or uniform matrix
+is therefore split into contiguous runs of whole blocks, one per thread (up
+to ``BINREC_THREADS``, else the CPUs this process may run on), each run
+reading the stream from its own first block; the matrix is the same bit for
+bit at every thread count.  Gaussian matrices are filled in one run: the
+ziggurat reads a data-dependent number of words per entry, so where a block
+starts in the stream is known only after the blocks before it are drawn.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -133,14 +144,42 @@ def _rng(seed: int) -> Generator:
     return Generator(Philox(key=seed))
 
 
-# Entries per fill block: small enough to stay in cache, and even, so every
-# block of signs starts on a whole 64-bit word of Philox's raw stream.
+# Entries per fill block: small enough to stay in cache.  A block of signs
+# is _BLOCK / 2 raw words and a uniform block _BLOCK words, so with _BLOCK a
+# multiple of 8 every block starts on a whole 4-word Philox counter step and
+# a run of blocks can start anywhere in the stream by ``Philox.advance``.
 _BLOCK = 1 << 15
+assert _BLOCK % 8 == 0
+
+# Fewest blocks a thread must get before a fill splits into runs: a block
+# takes about 0.15 ms and starting a pool about 0.2 ms (2-core x86-64), so a
+# run of 16 blocks does at least ten times the work its thread costs.
+_MIN_RUN_BLOCKS = 16
 
 
-def _sign_draw(seed: int):
-    """Fill blocks with the signs 2 b - 1 of ``Generator.integers(0, 2)``."""
+def _thread_cap() -> int:
+    """Threads (or worker processes) to use: ``BINREC_THREADS`` if set, else
+    the CPUs this process may run on."""
+    env = os.environ.get("BINREC_THREADS", "")
+    if env:
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"BINREC_THREADS must be a positive integer, got {env!r}")
+        return cap
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sign_stream(seed: int, first_block: int):
+    """Fill consecutive blocks, from block ``first_block`` on, with the signs
+    2 b - 1 of ``Generator.integers(0, 2)``."""
     bits = Philox(key=seed)
+    # one counter step is 4 raw words, and a block reads _BLOCK / 2 of them
+    bits.advance(first_block * (_BLOCK // 8))
 
     def draw(block: np.ndarray) -> None:
         # integers(0, 2) is the top bit of each 32-bit half of the raw
@@ -155,15 +194,43 @@ def _sign_draw(seed: int):
     return draw
 
 
-def _fill(m: int, N: int, draw, ops) -> np.ndarray:
-    """The m x N matrix of consecutive blocks of ``draw``, each finished by
-    the in-place scalar operations ``ops``, a sequence of (ufunc, scalar)."""
+def _uniform_stream(seed: int, half: float, first_block: int):
+    """Fill consecutive blocks, from block ``first_block`` on, with
+    ``Generator.uniform(-half, half)``, which reads one raw word per entry."""
+    bits = Philox(key=seed)
+    bits.advance(first_block * (_BLOCK // 4))
+    rng = Generator(bits)
+    return lambda block: np.copyto(block, rng.uniform(-half, half, block.size))
+
+
+def _fill(m: int, N: int, stream, ops, split: bool = True) -> np.ndarray:
+    """The m x N matrix of consecutive blocks of ``stream(first_block)``, each
+    finished by the in-place scalar operations ``ops``, a sequence of
+    (ufunc, scalar).
+
+    With ``split``, the blocks are cut into up to ``_thread_cap()``
+    contiguous runs of at least ``_MIN_RUN_BLOCKS`` blocks each, and the runs
+    fill their own slices of the output on a thread pool (numpy releases the
+    GIL in the raw draw and the ufunc loops).  Each run reads the stream from
+    its own first block, so the matrix does not depend on the run count."""
     out = np.empty(m * N)
-    for start in range(0, out.size, _BLOCK):
-        block = out[start:start + _BLOCK]
-        draw(block)
-        for op, c in ops:
-            op(block, c, out=block)
+    blocks = -(-out.size // _BLOCK)
+    runs = max(1, min(_thread_cap(), blocks // _MIN_RUN_BLOCKS)) if split else 1
+    firsts = [blocks * r // runs for r in range(runs + 1)]
+
+    def fill_run(first: int, stop: int) -> None:
+        draw = stream(first)
+        for start in range(first * _BLOCK, min(stop * _BLOCK, out.size), _BLOCK):
+            block = out[start:start + _BLOCK]
+            draw(block)
+            for op, c in ops:
+                op(block, c, out=block)
+
+    if runs == 1:
+        fill_run(0, blocks)
+    else:
+        with ThreadPoolExecutor(max_workers=runs) as pool:
+            list(pool.map(fill_run, firsts, firsts[1:]))
     return out.reshape(m, N)
 
 
@@ -171,25 +238,29 @@ def gen_matrix(config: EnsembleConfig) -> DenseMatrix:
     """Draw a measurement matrix; deterministic given config and seed."""
     m, N, seed = config.m, config.N, config.seed
     scale = 1.0 / math.sqrt(m)
+    signs = lambda first: _sign_stream(seed, first)
     if config.kind == "gaussian":
+        # the ziggurat reads a data-dependent number of raw words, so no
+        # block but the first has a known place in the stream: one run
         rng = _rng(seed)
-        draw, ops = (lambda block: rng.standard_normal(out=block)), [(np.multiply, scale)]
+        stream = lambda first: (lambda block: rng.standard_normal(out=block))
+        ops = [(np.multiply, scale)]
     elif config.kind == "rademacher":
-        draw, ops = _sign_draw(seed), [(np.multiply, scale)]
+        stream, ops = signs, [(np.multiply, scale)]
     elif config.kind == "bernoulli01":
         # scale * (1 + s) / 2, in that order
-        draw, ops = _sign_draw(seed), [(np.add, 1.0), (np.multiply, scale),
-                                       (np.divide, 2.0)]
+        stream, ops = signs, [(np.add, 1.0), (np.multiply, scale), (np.divide, 2.0)]
     elif config.base_dist == "rademacher_scaled":
-        draw, ops = _sign_draw(seed), [(np.multiply, config.sigma), (np.add, config.mu)]
+        stream, ops = signs, [(np.multiply, config.sigma), (np.add, config.mu)]
     else:
         # uniform on [-sqrt(3) sigma, sqrt(3) sigma] has variance sigma^2
-        rng, half = _rng(seed), math.sqrt(3.0) * config.sigma
-        draw = lambda block: np.copyto(block, rng.uniform(-half, half, block.size))
+        half = math.sqrt(3.0) * config.sigma
+        stream = lambda first: _uniform_stream(seed, half, first)
         ops = [(np.add, config.mu)]
     if config.kind == "biased" and config.normalized:
         ops.append((np.multiply, scale))
-    return DenseMatrix(_fill(m, N, draw, ops), provenance=config)
+    return DenseMatrix(_fill(m, N, stream, ops, split=config.kind != "gaussian"),
+                       provenance=config)
 
 
 def gen_sparse_binary(N: int, k: int, seed: int = 0) -> BinarySignal:

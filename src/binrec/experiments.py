@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
+from .ensembles import (EnsembleConfig, _thread_cap, gen_matrix, gen_noise,
+                        gen_sparse_binary)
 from .optim import SolverFailure
 from .recovery import RecoveryProblem, recovery_success, solve
 
@@ -161,11 +162,14 @@ def _worker(args):
     return run_cell(*args)
 
 
-def _thread_cap() -> int:
-    env = os.environ.get("BINREC_THREADS", "")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _one_fill_thread() -> None:
+    # a pool worker fills its matrices on one thread, so a sweep never runs
+    # more threads than workers
+    os.environ["BINREC_THREADS"] = "1"
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_one_fill_thread)
 
 
 def run_phase_transition(config: ExperimentConfig) -> PhaseDiagram:
@@ -174,7 +178,7 @@ def run_phase_transition(config: ExperimentConfig) -> PhaseDiagram:
              for j in range(len(config.m_fractions))]
     workers = min(_thread_cap(), len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _worker_pool(workers) as pool:
             per_cell = list(pool.map(_worker, tasks))
     else:
         per_cell = [run_cell(*t) for t in tasks]

@@ -275,6 +275,22 @@ def test_criterion_8_noise_bound_on_verified_trials():
                           f"{violations} violations, worst {worst:.1e}")
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "box_ls returns 'stalled' on criterion 8's draw t=5: TRF stops at a "
+    "projected-gradient residual of 1.3e-8 against tol 1e-10, and the polish "
+    "does not reach the fixed point"))
+def test_box_ls_converges_on_criterion_8_draw_5():
+    # criterion 8's draw t=5 at m=3,062: matrix seed 70_005, support seed
+    # 80_005 and, since draws 0-4 all verify, noise seed 85_005
+    p = replace(CERT_PARAMS, m=3062)
+    A = gen_matrix(EnsembleConfig(kind="biased", m=p.m, N=p.N, mu=p.mu,
+                                  sigma=p.sigma, lambda_bound=p.lambda_bound,
+                                  seed=70_005))
+    x0 = gen_sparse_binary(p.N, p.k, seed=80_005).dense()
+    b = A.entries @ x0 + gen_noise(p.m, 0.1, seed=85_005)
+    assert box_ls(RecoveryProblem(A, b)).solver_status == "converged"
+
+
 def test_criterion_9_theory_calculators():
     checks = []
     checks.append(abs(delta_bin(500, 500) - 250.0) <= 1e-6)

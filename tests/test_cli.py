@@ -125,5 +125,14 @@ def test_domain_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("threads", ["abc", "-3"])
+def test_invalid_thread_cap_exit_code(capsys, monkeypatch, tmp_path, threads):
+    monkeypatch.setenv("BINREC_THREADS", threads)
+    code = main(["phase", "--N", "16", "--grid-step", "0.5", "--trials", "1",
+                 "--out-csv", str(tmp_path / "p.csv")])
+    assert code == 1
+    assert "BINREC_THREADS" in capsys.readouterr().err
+
+
 def test_unknown_flag_exit_code(capsys):
     assert main(["theory", "--formula", "delta-bin", "--frobnicate"]) == 1

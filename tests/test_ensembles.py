@@ -1,15 +1,19 @@
 import io
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
-from binrec.ensembles import (_BLOCK, BASE_DISTS, MATRIX_KINDS, BinarySignal,
-                              EnsembleConfig, gen_matrix, gen_noise,
-                              gen_sparse_binary, read_matrix, read_signal,
-                              write_matrix, write_signal)
+from binrec import ensembles
+from binrec.ensembles import (_BLOCK, _MIN_RUN_BLOCKS, BASE_DISTS, MATRIX_KINDS,
+                              BinarySignal, EnsembleConfig, _thread_cap,
+                              gen_matrix, gen_noise, gen_sparse_binary,
+                              read_matrix, read_signal, write_matrix,
+                              write_signal)
 
 # m*N odd and even within one block, then spanning several blocks with a
 # partial last block (odd and even)
@@ -117,6 +121,61 @@ def test_gen_matrix_is_the_generator_stream_bit_for_bit(kind, base_dist, normali
             expected = _stream_formula(kind, m, N, seed, mu, sigma, base_dist,
                                        normalized)
             assert _same_bits(gen_matrix(cfg).entries, expected), (m, N, seed)
+
+
+@pytest.mark.parametrize("threads", ["2", "3", "5"])
+def test_split_fill_equals_one_run(monkeypatch, threads):
+    # runs of any length, down to one block, must join into the one-run
+    # fill bit for bit; (1, 1) and (7, 11) give more threads than blocks,
+    # and (4097, 33) splits 5 blocks unevenly with a partial last block
+    monkeypatch.setattr(ensembles, "_MIN_RUN_BLOCKS", 1)
+    for m, N in STREAM_SHAPES + [(4097, 33)]:
+        for kind, base_dist, normalized in STREAM_CASES:
+            cfg = EnsembleConfig(kind=kind, m=m, N=N, mu=0.7, sigma=0.4,
+                                 lambda_bound=0.7, base_dist=base_dist,
+                                 seed=m * N, normalized=normalized)
+            monkeypatch.setenv("BINREC_THREADS", "1")
+            one_run = gen_matrix(cfg).entries
+            monkeypatch.setenv("BINREC_THREADS", threads)
+            assert _same_bits(gen_matrix(cfg).entries, one_run), (m, N, kind, base_dist)
+
+
+@pytest.mark.parametrize("kind,base_dist", [("biased", "rademacher_scaled"),
+                                            ("biased", "uniform_bounded"),
+                                            ("gaussian", "rademacher_scaled")])
+def test_threaded_fill_is_the_generator_stream(monkeypatch, kind, base_dist):
+    # 4M entries (32 MB) is over two runs of the real minimum, so the sign
+    # and uniform fills split at 2 threads; Gaussian stays one run
+    m, N, seed, mu, sigma = 20_011, 200, 70_003, 0.5, 0.5
+    assert m * N // _BLOCK >= 2 * _MIN_RUN_BLOCKS
+    pools = []
+
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(ensembles, "ThreadPoolExecutor", RecordedPool)
+    expected = _stream_formula(kind, m, N, seed, mu, sigma, base_dist, False)
+    cfg = EnsembleConfig(kind=kind, m=m, N=N, mu=mu, sigma=sigma,
+                         lambda_bound=0.9, base_dist=base_dist, seed=seed)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BINREC_THREADS", threads)
+        assert _same_bits(gen_matrix(cfg).entries, expected), threads
+    assert pools == ([] if kind == "gaussian" else [2])
+
+
+def test_thread_cap(monkeypatch):
+    monkeypatch.delenv("BINREC_THREADS", raising=False)
+    available = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count())
+    assert _thread_cap() == available
+    monkeypatch.setenv("BINREC_THREADS", "3")
+    assert _thread_cap() == 3
+    for bad in ("abc", "1.5", "0", "-3"):
+        monkeypatch.setenv("BINREC_THREADS", bad)
+        with pytest.raises(ValueError, match="BINREC_THREADS"):
+            _thread_cap()
 
 
 @pytest.mark.parametrize("kind,base_dist", [("rademacher", "rademacher_scaled"),

@@ -4,9 +4,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from binrec.ensembles import EnsembleConfig
+from binrec.ensembles import EnsembleConfig, _thread_cap
 from binrec.experiments import (CSV_HEADER, CellStats, ExperimentConfig,
-                                PhaseDiagram, desk_scale_config,
+                                PhaseDiagram, _worker_pool, desk_scale_config,
                                 paper_scale_config, read_csv, render_heatmap,
                                 run_cell, run_phase_transition, trial_seed,
                                 write_csv)
@@ -62,6 +62,13 @@ def test_determinism_across_parallelism():
             os.environ["BINREC_THREADS"] = old
     assert serial.records == parallel.records
     assert serial.cells == parallel.cells
+
+
+def test_pool_workers_fill_on_one_thread(monkeypatch):
+    monkeypatch.setenv("BINREC_THREADS", "4")
+    with _worker_pool(2) as pool:
+        assert pool.submit(_thread_cap).result(timeout=60) == 1
+    assert _thread_cap() == 4
 
 
 def test_zero_sparsity_cell_always_recovers():
