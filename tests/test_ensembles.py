@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -127,17 +128,23 @@ def test_gen_matrix_is_the_generator_stream_bit_for_bit(kind, base_dist, normali
 def test_split_fill_equals_one_run(monkeypatch, threads):
     # runs of any length, down to one block, must join into the one-run
     # fill bit for bit; (1, 1) and (7, 11) give more threads than blocks,
-    # and (4097, 33) splits 5 blocks unevenly with a partial last block
+    # (4097, 33) splits 5 blocks unevenly with a partial last block; a short
+    # switch interval interleaves the threads as often as it can
     monkeypatch.setattr(ensembles, "_MIN_RUN_BLOCKS", 1)
-    for m, N in STREAM_SHAPES + [(4097, 33)]:
-        for kind, base_dist, normalized in STREAM_CASES:
-            cfg = EnsembleConfig(kind=kind, m=m, N=N, mu=0.7, sigma=0.4,
-                                 lambda_bound=0.7, base_dist=base_dist,
-                                 seed=m * N, normalized=normalized)
-            monkeypatch.setenv("BINREC_THREADS", "1")
-            one_run = gen_matrix(cfg).entries
-            monkeypatch.setenv("BINREC_THREADS", threads)
-            assert _same_bits(gen_matrix(cfg).entries, one_run), (m, N, kind, base_dist)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for m, N in STREAM_SHAPES + [(4097, 33)]:
+            for kind, base_dist, normalized in STREAM_CASES:
+                cfg = EnsembleConfig(kind=kind, m=m, N=N, mu=0.7, sigma=0.4,
+                                     lambda_bound=0.7, base_dist=base_dist,
+                                     seed=m * N, normalized=normalized)
+                monkeypatch.setenv("BINREC_THREADS", "1")
+                one_run = gen_matrix(cfg).entries
+                monkeypatch.setenv("BINREC_THREADS", threads)
+                assert _same_bits(gen_matrix(cfg).entries, one_run), (m, N, kind, base_dist)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("kind,base_dist", [("biased", "rademacher_scaled"),
