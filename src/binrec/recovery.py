@@ -104,21 +104,27 @@ def round_to_binary(x: np.ndarray) -> np.ndarray:
 
 
 def mibi_bp(p: RecoveryProblem) -> RecoveryReport:
-    """Mirrored binary basis pursuit: run both programs, keep the candidate
-    closest to its own integer rounding (ties, to within MIBI_TIE_TOL, go to
-    the plain branch)."""
+    """Mirrored binary basis pursuit: keep whichever of box_bp's and
+    box_bp_mirror's points is closest to its own integer rounding (ties, to
+    within MIBI_TIE_TOL, go to the plain branch).
+
+    The mirror branch wins only by more than MIBI_TIE_TOL, so it cannot win
+    against a plain point within MIBI_TIE_TOL of its rounding; the mirror LP
+    is solved only when the plain point is farther than that, or missing."""
     if p.eta is not None:
         raise ValueError("mibi_bp is noiseless")
-    plain = _bp_lp(p, mirror=False)
-    mirrored = _bp_lp(p, mirror=True)
-    if plain.x_hat is None and mirrored.x_hat is None:
-        return RecoveryReport(None, "mibi_bp", np.nan, "infeasible")
 
     def gap(r):
         return np.inf if r.x_hat is None else float(np.linalg.norm(round_to_binary(r.x_hat) - r.x_hat))
 
-    best, branch = ((mirrored, "mirror") if gap(mirrored) < gap(plain) - MIBI_TIE_TOL
-                    else (plain, "plain"))
+    plain = _bp_lp(p, mirror=False)
+    best, branch = plain, "plain"
+    if gap(plain) > MIBI_TIE_TOL:
+        mirrored = _bp_lp(p, mirror=True)
+        if plain.x_hat is None and mirrored.x_hat is None:
+            return RecoveryReport(None, "mibi_bp", np.nan, "infeasible")
+        if gap(mirrored) < gap(plain) - MIBI_TIE_TOL:
+            best, branch = mirrored, "mirror"
     return RecoveryReport(best.x_hat, "mibi_bp", best.objective, "optimal", branch_chosen=branch)
 
 

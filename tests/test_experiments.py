@@ -1,15 +1,17 @@
+import dataclasses
 import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from binrec.ensembles import EnsembleConfig, _thread_cap
+from binrec.ensembles import EnsembleConfig, _thread_cap, gen_matrix, gen_sparse_binary
 from binrec.experiments import (CSV_HEADER, CellStats, ExperimentConfig,
-                                PhaseDiagram, _worker_pool, desk_scale_config,
+                                PhaseDiagram, _mix, _worker_pool, desk_scale_config,
                                 paper_scale_config, read_csv, render_heatmap,
                                 run_cell, run_phase_transition, trial_seed,
                                 write_csv)
+from binrec.recovery import MIBI_TIE_TOL, RecoveryProblem, box_bp, round_to_binary
 
 
 def _small_config(**overrides):
@@ -143,8 +145,20 @@ def test_heatmap_wellformed_xml_with_axes(tmp_path):
 
 
 def test_run_cell_solves_each_lp_once_per_trial(monkeypatch):
-    # box_bp and mibi_bp share box-BP's LP: two LPs per trial, not three
+    # box_bp and mibi_bp share box-BP's LP, and mibi_bp adds the mirror LP
+    # only where box-BP's point is not binary to MIBI_TIE_TOL
     import binrec.recovery
+    cfg = _small_config(programs=("box_bp", "mibi_bp"))
+    fractional = 0
+    for t in range(cfg.trials):
+        seed = trial_seed(cfg.master_seed, 0, 0, t)
+        m, k = round(cfg.m_fractions[0] * cfg.N), round(cfg.k_fractions[0] * cfg.N)
+        A = gen_matrix(dataclasses.replace(cfg.ensemble, m=m, N=cfg.N, seed=_mix(seed, 0)))
+        x0 = gen_sparse_binary(cfg.N, k, seed=_mix(seed, 1)).dense()
+        x = box_bp(RecoveryProblem(A, A.entries @ x0)).x_hat
+        fractional += bool(np.linalg.norm(round_to_binary(x) - x) > MIBI_TIE_TOL)
+    assert 0 < fractional < cfg.trials  # the cell takes both ways through mibi_bp
+
     calls = []
     solve_lp = binrec.recovery.solve_lp
 
@@ -153,9 +167,8 @@ def test_run_cell_solves_each_lp_once_per_trial(monkeypatch):
         return solve_lp(p)
 
     monkeypatch.setattr(binrec.recovery, "solve_lp", counted)
-    cfg = _small_config(programs=("box_bp", "mibi_bp"))
     records = run_cell(cfg, 0, 0)
-    assert len(calls) == 2 * cfg.trials
+    assert len(calls) == cfg.trials + fractional
     assert len({(bool(p.c[0] > 0), p.b_eq.tobytes()) for p in calls}) == len(calls)
     mibi = [r for r in records if r.program == "mibi_bp"]
     assert len(mibi) == cfg.trials and all(r.solver_status == "optimal" for r in mibi)

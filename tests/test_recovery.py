@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
-from binrec.experiments import _mix, trial_seed
-from binrec.recovery import (DEFAULT_SUCCESS_TOL, RecoveryProblem, RecoveryReport,
-                             box_bp, box_bp_mirror, box_ls, mibi_bp, recovery_success,
-                             robust_box_bp, round_to_binary, solve)
+from binrec.experiments import _mix, desk_scale_config, trial_seed
+from binrec.optim import SolverFailure
+from binrec.recovery import (DEFAULT_SUCCESS_TOL, MIBI_TIE_TOL, RecoveryProblem,
+                             RecoveryReport, box_bp, box_bp_mirror, box_ls, mibi_bp,
+                             recovery_success, robust_box_bp, round_to_binary, solve)
 from oracles import robust_kkt_violations
 
 BALL_TOL = 1e-9
@@ -113,6 +116,74 @@ def test_mibi_dominates_either_branch():
             or recovery_success(box_bp_mirror(p).x_hat, x0)
         if either:
             assert recovery_success(mibi_bp(p).x_hat, x0)
+
+
+def _gap(rep):
+    return np.inf if rep.x_hat is None else float(np.linalg.norm(round_to_binary(rep.x_hat) - rep.x_hat))
+
+
+def _eager_mibi(A, b):
+    # the two-branch rule with both LPs solved, each on its own problem
+    plain = box_bp(RecoveryProblem(A, b))
+    mirrored = box_bp_mirror(RecoveryProblem(A, b))
+    if plain.x_hat is None and mirrored.x_hat is None:
+        return RecoveryReport(None, "mibi_bp", np.nan, "infeasible")
+    best, branch = ((mirrored, "mirror") if _gap(mirrored) < _gap(plain) - MIBI_TIE_TOL
+                    else (plain, "plain"))
+    return RecoveryReport(best.x_hat, "mibi_bp", best.objective, "optimal", branch_chosen=branch)
+
+
+def _mibi_instances():
+    # biased desk cells k/N in {0.1, 0.2, 0.8, 0.9} at m/N in {0.3, 0.5}, as
+    # run_cell draws them, and the saturated Gaussian instances of
+    # test_mibi_saturated_signals_use_mirror_branch
+    ens = desk_scale_config().ensemble
+    for i in (0, 1, 7, 8):
+        for j in (2, 4):
+            for t in range(8):
+                seed = trial_seed(1, i, j, t)
+                A = gen_matrix(dataclasses.replace(ens, m=10 * (j + 1), N=100, seed=_mix(seed, 0)))
+                x0 = gen_sparse_binary(100, 10 * (i + 1), seed=_mix(seed, 1))
+                yield A, A.entries @ x0.dense()
+    for t in range(8):
+        A = gen_matrix(EnsembleConfig(kind="gaussian", m=40, N=100, seed=10_000 + t))
+        x0 = gen_sparse_binary(100, 95, seed=20_000 + t)
+        yield A, A.entries @ x0.dense()
+
+
+def test_mibi_lazy_mirror_matches_both_branches():
+    outcomes = set()
+    for A, b in _mibi_instances():
+        p = RecoveryProblem(A, b)
+        rep, eager = mibi_bp(p), _eager_mibi(A, b)
+        assert np.array_equal(rep.x_hat, eager.x_hat)
+        assert rep.objective == eager.objective
+        assert (rep.solver_status, rep.branch_chosen) == (eager.solver_status, eager.branch_chosen)
+        mirror_solved = True in p._bp_reports
+        assert mirror_solved == (_gap(p._bp_reports[False]) > MIBI_TIE_TOL)
+        outcomes.add((rep.branch_chosen, mirror_solved))
+    # every way through mibi_bp is taken: a binary plain point, a fractional
+    # one that the mirror beats, and a fractional one that it does not
+    assert outcomes == {("plain", False), ("mirror", True), ("plain", True)}
+
+
+def test_mibi_mirror_failure_matters_only_when_plain_is_fractional(monkeypatch):
+    import binrec.recovery
+    solve_lp = binrec.recovery.solve_lp
+
+    def mirror_fails(lp):
+        if lp.c[0] < 0:
+            raise SolverFailure("iteration limit")
+        return solve_lp(lp)
+
+    monkeypatch.setattr(binrec.recovery, "solve_lp", mirror_fails)
+    A, x0 = _random_instance(np.random.default_rng(3), 6, 6, 3)
+    rep = mibi_bp(RecoveryProblem(A, A @ x0))
+    assert rep.branch_chosen == "plain"
+    assert np.linalg.norm(rep.x_hat - x0) <= 1e-8
+    # x1 + x2 = 1/2: the plain vertex has a coordinate of 1/2
+    with pytest.raises(SolverFailure):
+        mibi_bp(RecoveryProblem(np.array([[1.0, 1.0]]), np.array([0.5])))
 
 
 def test_robust_eta_zero_matches_box_bp():
