@@ -149,10 +149,10 @@ def test_run_cell_solves_each_lp_once_per_trial(monkeypatch):
     # only where box-BP's point is not binary to MIBI_TIE_TOL
     import binrec.recovery
     cfg = _small_config(programs=("box_bp", "mibi_bp"))
+    m, k = round(cfg.m_fractions[0] * cfg.N), round(cfg.k_fractions[0] * cfg.N)
     fractional = 0
     for t in range(cfg.trials):
         seed = trial_seed(cfg.master_seed, 0, 0, t)
-        m, k = round(cfg.m_fractions[0] * cfg.N), round(cfg.k_fractions[0] * cfg.N)
         A = gen_matrix(dataclasses.replace(cfg.ensemble, m=m, N=cfg.N, seed=_mix(seed, 0)))
         x0 = gen_sparse_binary(cfg.N, k, seed=_mix(seed, 1)).dense()
         x = box_bp(RecoveryProblem(A, A.entries @ x0)).x_hat
