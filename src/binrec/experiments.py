@@ -1,10 +1,11 @@
 """Monte-Carlo phase-transition harness.
 
 Sweeps a (k/N, m/N) grid, runs the requested recovery programs on freshly
-drawn matrix/signal pairs, and aggregates success rates per cell.  Every
-trial seeds its own counter-based generator from a mix of the master seed
-and the (cell_i, cell_j, trial) coordinates, so results are identical under
-any execution order or degree of parallelism.
+drawn matrix/signal pairs, and keeps one record per (trial, program); a
+cell's success rate is counted from its records.  Every trial seeds its own
+counter-based generator from a mix of the master seed and the (cell_i,
+cell_j, trial) coordinates, so results are identical under any execution
+order or degree of parallelism.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import dataclasses
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,27 +88,24 @@ class TrialRecord:
 
 
 @dataclass
-class CellStats:
-    trials: int
-    successes: dict = field(default_factory=dict)
-    both_count: int = 0
-    neither_count: int = 0
-    mean_error: dict = field(default_factory=dict)
-
-
-@dataclass
 class PhaseDiagram:
     config: ExperimentConfig
-    cells: dict  # (k_fraction, m_fraction) -> CellStats
     records: list  # TrialRecord, in grid-then-trial order
 
     def rate(self, k_fraction: float, m_fraction: float, program: str) -> float:
-        cell = self.cells[(k_fraction, m_fraction)]
-        return cell.successes[program] / cell.trials
-
-
-def _grid_sizes(N: int, fractions) -> list:
-    return [int(round(f * N)) for f in fractions]
+        """Share of the cell's trials that ``program`` recovered.  The cell's
+        records are found by grid position: distinct fractions can round to
+        the same (k, m)."""
+        cfg = self.config
+        cell = (cfg.k_fractions.index(k_fraction) * len(cfg.m_fractions)
+                + cfg.m_fractions.index(m_fraction))
+        per_cell = cfg.trials * len(cfg.programs)
+        expected = len(cfg.k_fractions) * len(cfg.m_fractions) * per_cell
+        if len(self.records) != expected:
+            raise ValueError(f"the config's grid holds {expected} records, "
+                             f"not {len(self.records)}")
+        cell_records = self.records[cell * per_cell:(cell + 1) * per_cell]
+        return sum(r.success for r in cell_records if r.program == program) / cfg.trials
 
 
 def _solve_one(program, problems, tol_x0, x0_dense):
@@ -123,28 +121,43 @@ def _solve_one(program, problems, tol_x0, x0_dense):
     return recovery_success(rep.x_hat, x0_dense, tol_x0), err, rep.solver_status, rep.x_hat
 
 
+def sweep_trial(config: ExperimentConfig, cell_i: int, cell_j: int, t: int) -> tuple:
+    """(seed, A, x0, b) of trial t in grid cell (cell_i, cell_j): the trial's
+    seed, matrix, signal and measurements, noisy when ``noise_eps`` is set.
+    This is the one place that derives a trial's seeds and draws it."""
+    N = config.N
+    k = int(round(config.k_fractions[cell_i] * N))
+    m = int(round(config.m_fractions[cell_j] * N))
+    seed = trial_seed(config.master_seed, cell_i, cell_j, t)
+    A = gen_matrix(dataclasses.replace(config.ensemble, m=m, N=N, seed=_mix(seed, 0)))
+    x0 = gen_sparse_binary(N, k, seed=_mix(seed, 1))
+    b = A.entries @ x0.dense()
+    if config.noise_eps:
+        b = b + gen_noise(m, config.noise_eps, seed=_mix(seed, 2))
+    return seed, A, x0, b
+
+
+def _problems(A, b, eta: float) -> tuple:
+    """The problems without and with noise level eta on one measurement
+    vector.  They share one cache of box-BP's LPs, which do not depend on
+    eta: box_bp and mibi_bp solve each LP once between them, and
+    robust_box_bp, which solves box_bp's LP when eta = 0, reuses it."""
+    plain, noisy = RecoveryProblem(A, b), RecoveryProblem(A, b, eta=eta)
+    noisy._bp_reports = plain._bp_reports
+    return plain, noisy
+
+
 def run_cell(config: ExperimentConfig, cell_i: int, cell_j: int) -> list:
     """All trial records of one grid cell, independent of every other cell."""
-    N = config.N
-    k = _grid_sizes(N, config.k_fractions)[cell_i]
-    m = _grid_sizes(N, config.m_fractions)[cell_j]
     eta = config.noise_eps if config.noise_eps is not None else 0.0
+    ens = config.ensemble
     records = []
     for t in range(config.trials):
-        seed = trial_seed(config.master_seed, cell_i, cell_j, t)
-        ens = dataclasses.replace(config.ensemble, m=m, N=N, seed=_mix(seed, 0))
-        A = gen_matrix(ens)
-        x0 = gen_sparse_binary(N, k, seed=_mix(seed, 1))
+        seed, A, x0, b = sweep_trial(config, cell_i, cell_j, t)
         x0d = x0.dense()
-        b = A.entries @ x0d
-        if config.noise_eps:
-            b = b + gen_noise(m, config.noise_eps, seed=_mix(seed, 2))
-        # one problem object per measurement vector, shared by the programs,
-        # so that box_bp and mibi_bp solve box-BP's LP once between them
-        problems = (RecoveryProblem(A, b), RecoveryProblem(A, b, eta=eta))
+        problems = _problems(A, b, eta)
         if config.record_simultaneous:
-            b_mirror = A.entries @ (1.0 - x0d)
-            mirror_problems = (RecoveryProblem(A, b_mirror), RecoveryProblem(A, b_mirror, eta=eta))
+            mirror_problems = _problems(A, A.entries @ (1.0 - x0d), eta)
         for program in config.programs:
             ok, err, status, _ = _solve_one(program, problems, config.success_tol, x0d)
             both = neither = None
@@ -153,8 +166,8 @@ def run_cell(config: ExperimentConfig, cell_i: int, cell_j: int) -> list:
                                           config.success_tol, 1.0 - x0d)
                 both = ok and ok2
                 neither = not ok and not ok2
-            records.append(TrialRecord(N, m, k, t, program, ens.kind, ens.mu, seed,
-                                       ok, both, neither, err, status))
+            records.append(TrialRecord(config.N, A.m, x0.k, t, program, ens.kind, ens.mu,
+                                       seed, ok, both, neither, err, status))
     return records
 
 
@@ -182,28 +195,7 @@ def run_phase_transition(config: ExperimentConfig) -> PhaseDiagram:
             per_cell = list(pool.map(_worker, tasks))
     else:
         per_cell = [run_cell(*t) for t in tasks]
-
-    cells = {}
-    records = []
-    for (_, i, j), cell_records in zip(tasks, per_cell):
-        key = (config.k_fractions[i], config.m_fractions[j])
-        stats = CellStats(trials=config.trials,
-                          successes={p: 0 for p in config.programs},
-                          mean_error={p: 0.0 for p in config.programs})
-        errs = {p: [] for p in config.programs}
-        for r in cell_records:
-            stats.successes[r.program] += int(r.success)
-            if r.both:
-                stats.both_count += 1
-            if r.neither:
-                stats.neither_count += 1
-            if np.isfinite(r.l2_error):
-                errs[r.program].append(r.l2_error)
-        for p in config.programs:
-            stats.mean_error[p] = float(np.mean(errs[p])) if errs[p] else float("nan")
-        cells[key] = stats
-        records.extend(cell_records)
-    return PhaseDiagram(config, cells, records)
+    return PhaseDiagram(config, [r for cell in per_cell for r in cell])
 
 
 # --- CSV ------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Dense convex solvers: box-bounded LPs, box-constrained least squares and
-box-constrained quadratics.
+"""Dense convex solvers: box-bounded LPs and box-constrained least squares.
 
 LPs go to scipy's HiGHS dual simplex and box-constrained least squares to
-scipy's trust-region reflective method (``lsq_linear(method="trf")``).  The
-box-QP with a linear term is solved here, by accelerated projected
-gradient; the acceptance tests use it without its polish as a multi-start
-uniqueness probe.  Both box solvers share one active-set polish and report
-convergence by the same projected-gradient fixed-point test.
+scipy's trust-region reflective method (``lsq_linear(method="trf")``),
+which is polished by an active-set step when its point misses the
+projected-gradient fixed-point test.  ``solve_box_qp`` solves the same
+least-squares program by accelerated projected gradient, never polished;
+no library code calls it, and the acceptance tests use it as a multi-start
+uniqueness probe.  Both report convergence by the same fixed-point test.
 
 Box-LS deliberately avoids scipy's BVLS: it is an active-set method and
 lands on a vertex of the box when the least-squares solution set is not a
@@ -147,9 +147,9 @@ def _lipschitz(A: np.ndarray) -> float:
 
 
 class _BoxQp:
-    """min 0.5*||Ax-b||^2 + q.x over lower <= x <= upper."""
+    """min 0.5*||Ax-b||^2 over lower <= x <= upper."""
 
-    def __init__(self, A, b, lower, upper, linear):
+    def __init__(self, A, b, lower, upper):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         N = self.A.shape[1]
@@ -157,18 +157,17 @@ class _BoxQp:
         self.upper = np.broadcast_to(np.asarray(upper, dtype=float), (N,))
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
-        self.q = np.zeros(N) if linear is None else np.asarray(linear, dtype=float)
         self.gamma = 1.0 / _lipschitz(self.A)
 
     def proj(self, z):
         return np.clip(z, self.lower, self.upper)
 
     def grad(self, z):
-        return self.A.T @ (self.A @ z - self.b) + self.q
+        return self.A.T @ (self.A @ z - self.b)
 
     def obj(self, z):
         r = self.A @ z - self.b
-        return 0.5 * float(r @ r) + float(self.q @ z)
+        return 0.5 * float(r @ r)
 
     def fixed_point(self, x, tol) -> bool:
         """The projected-gradient step from x moves it by at most tol."""
@@ -190,7 +189,7 @@ class _BoxQp:
             if np.any(free):
                 r = self.b - A[:, ~free] @ cand[~free]
                 Af = A[:, free]
-                sol = np.linalg.lstsq(Af.T @ Af, Af.T @ r - self.q[free], rcond=None)[0]
+                sol = np.linalg.lstsq(Af.T @ Af, Af.T @ r, rcond=None)[0]
                 cand[free] = np.clip(sol, lower[free], upper[free])
             f_cand = self.obj(cand)
             if f_cand < f_x:
@@ -207,15 +206,13 @@ class _BoxQp:
                            status="converged" if converged else "max_iter" if capped else "stalled")
 
 
-def solve_box_qp(A, b, lower, upper, linear=None, tol=1e-10, max_iter=None, x0=None,
-                 polish=True) -> BoxLsResult:
-    """min 0.5*||Ax-b||^2 + linear.x over the box, by accelerated projected
-    gradient with restart on objective increase (monotone iterates).
+def solve_box_qp(A, b, lower, upper, tol=1e-10, max_iter=None, x0=None) -> BoxLsResult:
+    """min 0.5*||Ax-b||^2 over the box, by accelerated projected gradient
+    with restart on objective increase (monotone iterates), from ``x0``.
 
-    ``polish=False`` skips the final active-set refinement; useful when the
-    caller wants the raw multi-start behavior on problems with tied optima
-    (the polish deliberately breaks ties toward exactly-on-bound points)."""
-    qp = _BoxQp(A, b, lower, upper, linear)
+    The point is not polished: a multi-start caller sees tied optima as
+    they are, where the polish would break ties toward on-bound points."""
+    qp = _BoxQp(A, b, lower, upper)
     N = qp.A.shape[1]
     if max_iter is None:
         max_iter = 50 * N
@@ -238,8 +235,6 @@ def solve_box_qp(A, b, lower, upper, linear=None, tol=1e-10, max_iter=None, x0=N
         x, f_x, t = cand, f_cand, t_next
         if qp.fixed_point(x, tol):
             break
-    if polish:
-        x = qp.polish(x)
     return qp.result(x, it, tol, capped=it >= max_iter)
 
 
@@ -249,7 +244,7 @@ def solve_box_ls(A, b, lower, upper, tol=1e-10, max_iter=None) -> BoxLsResult:
     caps the TRF iterations (scipy's default of 100 when None);
     ``converged`` is the projected-gradient fixed-point test at ``tol``, and
     a point that misses it is ``max_iter`` only when TRF hit that cap."""
-    qp = _BoxQp(A, b, lower, upper, None)
+    qp = _BoxQp(A, b, lower, upper)
     res = lsq_linear(qp.A, qp.b, bounds=(qp.lower, qp.upper), method="trf",
                      tol=tol, max_iter=max_iter)
     x = qp.proj(res.x)

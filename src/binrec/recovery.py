@@ -28,6 +28,10 @@ MIBI_TIE_TOL = 1e-7
 # how far outside the noise ball an ``optimal`` robust_box_bp point may lie
 ROBUST_BALL_TOL = 1e-9
 
+# robust_box_bp's SLSQP ``ftol`` and ``maxiter``
+ROBUST_FTOL = 1e-10
+ROBUST_MAX_ITER = 2000
+
 
 @dataclass
 class RecoveryProblem:
@@ -128,13 +132,14 @@ def mibi_bp(p: RecoveryProblem) -> RecoveryReport:
     return RecoveryReport(best.x_hat, "mibi_bp", best.objective, "optimal", branch_chosen=branch)
 
 
-def box_ls(p: RecoveryProblem, tol: float = 1e-10, max_iter: int | None = None) -> RecoveryReport:
-    """min ||Ax - b||_2  s.t.  x in [0,1]^N."""
-    res = solve_box_ls(p.A.entries, p.b, 0.0, 1.0, tol=tol, max_iter=max_iter)
+def box_ls(p: RecoveryProblem) -> RecoveryReport:
+    """min ||Ax - b||_2  s.t.  x in [0,1]^N, by ``solve_box_ls`` at its
+    default tolerance and iteration cap."""
+    res = solve_box_ls(p.A.entries, p.b, 0.0, 1.0)
     return RecoveryReport(res.x, "box_ls", res.residual_norm, res.status)
 
 
-def robust_box_bp(p: RecoveryProblem, tol: float = 1e-10, max_iter: int = 2000) -> RecoveryReport:
+def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
     """min ||x||_1  s.t.  ||Ax - b||_2 <= eta, x in [0,1]^N.
 
     One SLSQP solve over z = (x, r): min 1.x s.t. Ax - r = b,
@@ -142,7 +147,8 @@ def robust_box_bp(p: RecoveryProblem, tol: float = 1e-10, max_iter: int = 2000) 
     Splitting off the residual r puts the ball's curvature on r alone,
     where it is isotropic, so SLSQP's quasi-Newton model learns it in a few
     steps; on x itself the ball's curvature is A^T A's, which it learns
-    slowly.  ``tol`` is SLSQP's ``ftol`` and ``max_iter`` its ``maxiter``.
+    slowly.  SLSQP runs with ``ftol`` ROBUST_FTOL and ``maxiter``
+    ROBUST_MAX_ITER.
 
     The status is ``optimal`` only when SLSQP reports success and the point,
     clipped into the box, meets the ball to ROBUST_BALL_TOL; otherwise it is
@@ -175,7 +181,8 @@ def robust_box_bp(p: RecoveryProblem, tol: float = 1e-10, max_iter: int = 2000) 
     res = minimize(lambda z: float(np.sum(z[:N])), np.concatenate([ls.x, A @ ls.x - b]),
                    jac=lambda z: cost, method="SLSQP",
                    bounds=[(0.0, 1.0)] * N + [(None, None)] * m,
-                   constraints=constraints, options={"ftol": tol, "maxiter": max_iter})
+                   constraints=constraints,
+                   options={"ftol": ROBUST_FTOL, "maxiter": ROBUST_MAX_ITER})
     x = np.clip(res.x[:N], 0.0, 1.0)
     if res.success and np.linalg.norm(A @ x - b) <= eta + ROBUST_BALL_TOL:
         status = "optimal"

@@ -111,8 +111,8 @@ def lp_kkt_violations(c, A_eq, b_eq, lower, upper, x, y=None, bound_tol=1e-9):
     }
 
 
-def box_qp_kkt_violations(A, b, lower, upper, x, linear=None, bound_tol=1e-9):
-    """How far x is from optimal for min 0.5*||Ax - b||^2 + linear.x over
+def box_qp_kkt_violations(A, b, lower, upper, x, bound_tol=1e-9):
+    """How far x is from optimal for min 0.5*||Ax - b||^2 over
     lower <= x <= upper: the box violation and the largest breach of the
     gradient's sign conditions (g = 0 on free coordinates, g >= 0 at lower
     bounds, g <= 0 at upper bounds).  The problem is convex, so both at
@@ -122,8 +122,6 @@ def box_qp_kkt_violations(A, b, lower, upper, x, linear=None, bound_tol=1e-9):
     lower = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
     upper = np.broadcast_to(np.asarray(upper, dtype=float), x.shape)
     g = A.T @ (A @ x - np.asarray(b, dtype=float))
-    if linear is not None:
-        g = g + np.asarray(linear, dtype=float)
     at_lo = x <= lower + bound_tol
     at_hi = ~at_lo & (x >= upper - bound_tol)
     free = ~(at_lo | at_hi)

@@ -27,7 +27,7 @@ from binrec.analysis import (ConeSpec, build_dual_certificate,
                              certificate_threshold, check_kernel_cone,
                              verify_certificate)
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
-from binrec.experiments import _mix, desk_scale_config, run_phase_transition, trial_seed
+from binrec.experiments import desk_scale_config, run_phase_transition, sweep_trial
 from binrec.optim import LpProblem, solve_box_qp, solve_lp
 from binrec.recovery import (RecoveryProblem, box_bp, box_ls, recovery_success)
 from binrec.theory import (TheoryParams, cert_norm_bound, cert_success_rates,
@@ -66,7 +66,7 @@ def _ls_unique_recovers(A, b, x0):
     # raw multi-start descent: the active-set polish would collapse tied
     # optima onto one vertex and mask non-uniqueness
     for start in (np.zeros(N), np.ones(N), np.full(N, 0.5)):
-        res = solve_box_qp(A, b, 0.0, 1.0, x0=start, tol=1e-11, polish=False)
+        res = solve_box_qp(A, b, 0.0, 1.0, x0=start, tol=1e-11)
         if np.linalg.norm(res.x - x0) > 1e-4 * max(1.0, np.linalg.norm(x0)):
             return False
     return True
@@ -119,26 +119,17 @@ def biased_grid():
     """Shared desk-scale biased sweep: per-trial box_bp/box_ls solutions and
     kernel-cone verdicts (criteria 4 and 6)."""
     cfg = desk_scale_config(master_seed=MASTER_SEED, kind="biased")
-    N = cfg.N
     rates = {}
     pairs = []  # (kernel_holds, ||box_ls - box_bp||)
     for i, kf in enumerate(cfg.k_fractions):
         for j, mf in enumerate(cfg.m_fractions):
-            k, m = int(round(kf * N)), int(round(mf * N))
             wins = 0
             for t in range(cfg.trials):
-                seed = trial_seed(cfg.master_seed, i, j, t)
-                ens = EnsembleConfig(kind="biased", m=m, N=N, mu=1.0, sigma=1.0,
-                                     lambda_bound=1.0, seed=_mix(seed, 0))
-                A = gen_matrix(ens)
-                x0 = gen_sparse_binary(N, k, seed=_mix(seed, 1))
-                b = A.entries @ x0.dense()
+                _, A, x0, b = sweep_trial(cfg, i, j, t)
                 bp = box_bp(RecoveryProblem(A, b))
                 wins += recovery_success(bp.x_hat, x0)
-                # a generous iteration cap: the biased ensemble is
-                # near-singular, and TRF stops on its own tolerance first
-                ls = box_ls(RecoveryProblem(A, b), max_iter=100_000)
-                holds = check_kernel_cone(A, ConeSpec.sign_cone(N, x0.support)).holds
+                ls = box_ls(RecoveryProblem(A, b))
+                holds = check_kernel_cone(A, ConeSpec.sign_cone(cfg.N, x0.support)).holds
                 if bp.x_hat is not None:
                     pairs.append((holds, float(np.linalg.norm(ls.x_hat - bp.x_hat))))
             rates[(kf, mf)] = wins / cfg.trials

@@ -1,16 +1,15 @@
-import dataclasses
 import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from binrec.ensembles import EnsembleConfig, _thread_cap, gen_matrix, gen_sparse_binary
-from binrec.experiments import (CSV_HEADER, CellStats, ExperimentConfig,
-                                PhaseDiagram, _mix, _worker_pool, desk_scale_config,
+from binrec.ensembles import EnsembleConfig, _thread_cap
+from binrec.experiments import (CSV_HEADER, ExperimentConfig, PhaseDiagram,
+                                TrialRecord, _worker_pool, desk_scale_config,
                                 paper_scale_config, read_csv, render_heatmap,
-                                run_cell, run_phase_transition, trial_seed,
-                                write_csv)
+                                run_cell, run_phase_transition, sweep_trial,
+                                trial_seed, write_csv)
 from binrec.recovery import MIBI_TIE_TOL, RecoveryProblem, box_bp, round_to_binary
 
 
@@ -63,7 +62,6 @@ def test_determinism_across_parallelism():
         else:
             os.environ["BINREC_THREADS"] = old
     assert serial.records == parallel.records
-    assert serial.cells == parallel.cells
 
 
 def test_pool_workers_fill_on_one_thread(monkeypatch):
@@ -91,9 +89,10 @@ def test_full_measurement_cell_recovers_with_density_ensemble():
 def test_simultaneous_counts_bounded():
     cfg = _small_config(record_simultaneous=True)
     d = run_phase_transition(cfg)
-    for cell in d.cells.values():
-        assert cell.both_count + cell.neither_count <= cell.trials
-        assert 0 <= cell.both_count <= cell.trials
+    assert len(d.records) == 4 * cfg.trials
+    for r in d.records:
+        assert not (r.both and r.neither)
+        assert r.both <= r.success and r.neither <= (not r.success)
 
 
 def test_csv_header_and_roundtrip(tmp_path):
@@ -105,10 +104,14 @@ def test_csv_header_and_roundtrip(tmp_path):
         assert f.readline().rstrip("\n") == CSV_HEADER
     assert read_csv(path) == d.records
     assert os.path.exists(path + ".config.json")
+    # a diagram read back from its CSV draws the same heatmap, byte for byte
+    render_heatmap(d, "box_bp", str(tmp_path / "run.svg"))
+    render_heatmap(PhaseDiagram(cfg, read_csv(path)), "box_bp", str(tmp_path / "read.svg"))
+    assert (tmp_path / "run.svg").read_bytes() == (tmp_path / "read.svg").read_bytes()
 
 
 def test_csv_empty_grid_header_only(tmp_path):
-    d = PhaseDiagram(_small_config(), cells={}, records=[])
+    d = PhaseDiagram(_small_config(), records=[])
     path = str(tmp_path / "empty.csv")
     write_csv(d, path)
     with open(path) as f:
@@ -116,19 +119,35 @@ def test_csv_empty_grid_header_only(tmp_path):
     assert lines == [CSV_HEADER + "\n"]
 
 
+def _record(t, program, success, k=4):
+    return TrialRecord(20, 10, k, t, program, "biased", 1.0, 0, success, None, None,
+                       0.0, "optimal")
+
+
 def test_heatmap_extreme_cells(tmp_path):
     cfg = _small_config(k_fractions=[0.2], m_fractions=[0.5], trials=2)
-    d = PhaseDiagram(cfg, cells={(0.2, 0.5): CellStats(
-        trials=2, successes={"box_bp": 2}, mean_error={"box_bp": 0.0})},
-        records=[])
     white = str(tmp_path / "white.svg")
-    render_heatmap(d, "box_bp", white)
-    content = open(white).read()
-    assert 'fill="rgb(255,255,255)"' in content
-    d.cells[(0.2, 0.5)].successes["box_bp"] = 0
+    render_heatmap(PhaseDiagram(cfg, [_record(t, "box_bp", True) for t in range(2)]),
+                   "box_bp", white)
+    assert 'fill="rgb(255,255,255)"' in open(white).read()
     black = str(tmp_path / "black.svg")
-    render_heatmap(d, "box_bp", black)
+    render_heatmap(PhaseDiagram(cfg, [_record(t, "box_bp", False) for t in range(2)]),
+                   "box_bp", black)
     assert 'fill="rgb(0,0,0)"' in open(black).read()
+
+
+def test_rate_reads_each_cells_own_trials():
+    # at N=10, k/N = 0.15, 0.2 and 0.25 all round to k=2; cell i holds i
+    # box_bp successes and 3 - i box_ls successes of its 3 trials
+    cfg = _small_config(N=10, k_fractions=[0.15, 0.2, 0.25], m_fractions=[0.5],
+                        programs=("box_bp", "box_ls"))
+    records = [_record(t, p, t < (i if p == "box_bp" else 3 - i), k=2)
+               for i in range(3) for t in range(3) for p in cfg.programs]
+    d = PhaseDiagram(cfg, records)
+    assert [d.rate(f, 0.5, "box_bp") for f in cfg.k_fractions] == [0, 1 / 3, 2 / 3]
+    assert [d.rate(f, 0.5, "box_ls") for f in cfg.k_fractions] == [1, 2 / 3, 1 / 3]
+    with pytest.raises(ValueError):
+        PhaseDiagram(cfg, records[:-1]).rate(0.15, 0.5, "box_bp")
 
 
 def test_heatmap_wellformed_xml_with_axes(tmp_path):
@@ -145,17 +164,15 @@ def test_heatmap_wellformed_xml_with_axes(tmp_path):
 
 
 def test_run_cell_solves_each_lp_once_per_trial(monkeypatch):
-    # box_bp and mibi_bp share box-BP's LP, and mibi_bp adds the mirror LP
-    # only where box-BP's point is not binary to MIBI_TIE_TOL
+    # box_bp shares box-BP's LP with mibi_bp, which adds the mirror LP only
+    # where box-BP's point is not binary to MIBI_TIE_TOL, and with a
+    # noiseless robust_box_bp, which solves box-BP's LP at eta = 0
     import binrec.recovery
-    cfg = _small_config(programs=("box_bp", "mibi_bp"))
-    m, k = round(cfg.m_fractions[0] * cfg.N), round(cfg.k_fractions[0] * cfg.N)
+    cfg = _small_config()
     fractional = 0
     for t in range(cfg.trials):
-        seed = trial_seed(cfg.master_seed, 0, 0, t)
-        A = gen_matrix(dataclasses.replace(cfg.ensemble, m=m, N=cfg.N, seed=_mix(seed, 0)))
-        x0 = gen_sparse_binary(cfg.N, k, seed=_mix(seed, 1)).dense()
-        x = box_bp(RecoveryProblem(A, A.entries @ x0)).x_hat
+        _, A, _, b = sweep_trial(cfg, 0, 0, t)
+        x = box_bp(RecoveryProblem(A, b)).x_hat
         fractional += bool(np.linalg.norm(round_to_binary(x) - x) > MIBI_TIE_TOL)
     assert 0 < fractional < cfg.trials  # the cell takes both ways through mibi_bp
 
@@ -167,11 +184,13 @@ def test_run_cell_solves_each_lp_once_per_trial(monkeypatch):
         return solve_lp(p)
 
     monkeypatch.setattr(binrec.recovery, "solve_lp", counted)
-    records = run_cell(cfg, 0, 0)
-    assert len(calls) == cfg.trials + fractional
-    assert len({(bool(p.c[0] > 0), p.b_eq.tobytes()) for p in calls}) == len(calls)
-    mibi = [r for r in records if r.program == "mibi_bp"]
-    assert len(mibi) == cfg.trials and all(r.solver_status == "optimal" for r in mibi)
+    for second, extra in (("mibi_bp", fractional), ("robust_box_bp", 0)):
+        calls.clear()
+        records = run_cell(_small_config(programs=("box_bp", second)), 0, 0)
+        assert len(calls) == cfg.trials + extra, second
+        assert len({(bool(p.c[0] > 0), p.b_eq.tobytes()) for p in calls}) == len(calls)
+        theirs = [r for r in records if r.program == second]
+        assert len(theirs) == cfg.trials and all(r.solver_status == "optimal" for r in theirs)
 
 
 def test_solver_failures_recorded_not_raised():

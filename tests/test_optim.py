@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from binrec.analysis import ConeSpec, check_kernel_cone
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_sparse_binary
 from binrec.optim import (LpProblem, SolverFailure, TOL_FEAS, _lipschitz,
-                          lp_feasible, solve_box_ls, solve_box_qp, solve_lp)
+                          lp_feasible, solve_box_ls, solve_lp)
 
 from oracles import (box_qp_kkt_violations, enumerate_lp_optimum, lp_kkt_violations,
                      random_bounded_lp)
@@ -202,18 +202,6 @@ def test_box_ls_point_meets_kkt():
     gamma = 1.0 / (np.linalg.norm(A, 2) ** 2)
     fp = res.x - np.clip(res.x - gamma * (A.T @ (A @ res.x - b)), 0.0, 1.0)
     assert np.linalg.norm(fp) <= 1e-8
-
-
-def test_box_qp_linear_term_point_meets_kkt():
-    # a linear term pushes coordinates onto the lower bound
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((15, 25))
-    b = A @ rng.uniform(0.0, 1.0, 25)
-    q = np.full(25, 0.5)
-    res = solve_box_qp(A, b, 0.0, 1.0, linear=q, tol=1e-10)
-    assert res.converged
-    violations = box_qp_kkt_violations(A, b, 0.0, 1.0, res.x, linear=q)
-    assert max(violations.values()) <= 1e-8, violations
 
 
 def test_box_ls_unique_feasible_point_recovered():

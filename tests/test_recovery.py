@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
-from binrec.experiments import _mix, desk_scale_config, trial_seed
+from binrec.experiments import desk_scale_config, sweep_trial
 from binrec.optim import SolverFailure
 from binrec.recovery import (DEFAULT_SUCCESS_TOL, MIBI_TIE_TOL, RecoveryProblem,
                              RecoveryReport, box_bp, box_bp_mirror, box_ls, mibi_bp,
@@ -137,14 +137,12 @@ def _mibi_instances():
     # biased desk cells k/N in {0.1, 0.2, 0.8, 0.9} at m/N in {0.3, 0.5}, as
     # run_cell draws them, and the saturated Gaussian instances of
     # test_mibi_saturated_signals_use_mirror_branch
-    ens = desk_scale_config().ensemble
+    cfg = desk_scale_config(master_seed=1)
     for i in (0, 1, 7, 8):
         for j in (2, 4):
             for t in range(8):
-                seed = trial_seed(1, i, j, t)
-                A = gen_matrix(dataclasses.replace(ens, m=10 * (j + 1), N=100, seed=_mix(seed, 0)))
-                x0 = gen_sparse_binary(100, 10 * (i + 1), seed=_mix(seed, 1))
-                yield A, A.entries @ x0.dense()
+                _, A, _, b = sweep_trial(cfg, i, j, t)
+                yield A, b
     for t in range(8):
         A = gen_matrix(EnsembleConfig(kind="gaussian", m=40, N=100, seed=10_000 + t))
         x0 = gen_sparse_binary(100, 95, seed=20_000 + t)
@@ -287,29 +285,29 @@ def test_box_ls_wrapper():
     assert np.linalg.norm(rep.x_hat - x0) <= 1e-6
 
 
+def _desk_sweep_config(master_seed):
+    # the desk preset on the benchmark's desk-sweep sub-grid
+    return dataclasses.replace(desk_scale_config(master_seed),
+                               k_fractions=[0.1, 0.2, 0.8, 0.9], m_fractions=[0.3, 0.4, 0.5])
+
+
 def test_box_ls_keeps_its_own_minimizer_when_the_feasible_set_is_wide():
     # desk-sweep trial k=80, m=40 (master seed 21): {x in box: Ax = Ax0}
     # reaches 14.7 from x0 in l1.  A finished TRF point is returned as is;
     # polishing it would snap it onto the vertex x0 and claim a recovery
     # that the program does not determine.
-    seed = trial_seed(21, 2, 1, 0)
-    A = gen_matrix(EnsembleConfig(kind="biased", m=40, N=100, mu=1.0, sigma=1.0,
-                                  lambda_bound=1.0, seed=_mix(seed, 0)))
-    x0 = gen_sparse_binary(100, 80, seed=_mix(seed, 1)).dense()
-    rep = box_ls(RecoveryProblem(A, A.entries @ x0))
+    _, A, x0, b = sweep_trial(_desk_sweep_config(21), 2, 1, 0)
+    rep = box_ls(RecoveryProblem(A, b))
     assert rep.solver_status == "converged"
     assert rep.objective <= 1e-8
-    assert np.linalg.norm(rep.x_hat - x0) >= 1.0
+    assert np.linalg.norm(rep.x_hat - x0.dense()) >= 1.0
 
 
 def test_box_ls_stalled_short_of_its_cap_is_not_max_iter():
     # desk-sweep trial k=10, m=30 (master seed 12): TRF stops on its own
     # tolerance after 15 of its 100 iterations, short of the fixed point
-    seed = trial_seed(12, 0, 0, 5)
-    A = gen_matrix(EnsembleConfig(kind="biased", m=30, N=100, mu=1.0, sigma=1.0,
-                                  lambda_bound=1.0, seed=_mix(seed, 0)))
-    x0 = gen_sparse_binary(100, 10, seed=_mix(seed, 1)).dense()
-    rep = box_ls(RecoveryProblem(A, A.entries @ x0))
+    _, A, _, b = sweep_trial(_desk_sweep_config(12), 0, 0, 5)
+    rep = box_ls(RecoveryProblem(A, b))
     assert rep.solver_status == "stalled"
     assert not rep.feasible
 
