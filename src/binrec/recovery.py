@@ -28,10 +28,6 @@ MIBI_TIE_TOL = 1e-7
 # how far outside the noise ball an ``optimal`` robust_box_bp point may lie
 ROBUST_BALL_TOL = 1e-9
 
-# robust_box_bp's SLSQP ``ftol`` and ``maxiter``
-ROBUST_FTOL = 1e-10
-ROBUST_MAX_ITER = 2000
-
 
 @dataclass
 class RecoveryProblem:
@@ -147,8 +143,7 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
     Splitting off the residual r puts the ball's curvature on r alone,
     where it is isotropic, so SLSQP's quasi-Newton model learns it in a few
     steps; on x itself the ball's curvature is A^T A's, which it learns
-    slowly.  SLSQP runs with ``ftol`` ROBUST_FTOL and ``maxiter``
-    ROBUST_MAX_ITER.
+    slowly.  SLSQP runs with ``ftol`` 1e-10 and ``maxiter`` 2000.
 
     The status is ``optimal`` only when SLSQP reports success and the point,
     clipped into the box, meets the ball to ROBUST_BALL_TOL; otherwise it is
@@ -181,8 +176,7 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
     res = minimize(lambda z: float(np.sum(z[:N])), np.concatenate([ls.x, A @ ls.x - b]),
                    jac=lambda z: cost, method="SLSQP",
                    bounds=[(0.0, 1.0)] * N + [(None, None)] * m,
-                   constraints=constraints,
-                   options={"ftol": ROBUST_FTOL, "maxiter": ROBUST_MAX_ITER})
+                   constraints=constraints, options={"ftol": 1e-10, "maxiter": 2000})
     x = np.clip(res.x[:N], 0.0, 1.0)
     if res.success and np.linalg.norm(A @ x - b) <= eta + ROBUST_BALL_TOL:
         status = "optimal"
