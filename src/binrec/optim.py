@@ -1,17 +1,21 @@
 """Dense convex solvers: box-bounded LPs and box-constrained least squares.
 
-LPs go to scipy's HiGHS dual simplex and box-constrained least squares to
-scipy's trust-region reflective method (``lsq_linear(method="trf")``),
-which is polished by an active-set step when its point misses the
-projected-gradient fixed-point test.  ``solve_box_qp`` solves the same
-least-squares program by accelerated projected gradient, never polished;
-no library code calls it, and the acceptance tests use it as a multi-start
-uniqueness probe.  Both report convergence by the same fixed-point test.
+LPs go to scipy's HiGHS dual simplex.  Box-constrained least squares goes
+to scipy's BVLS (``lsq_linear(method="bvls")``) when A has full column
+rank, and otherwise to its trust-region reflective method
+(``lsq_linear(method="trf")``), which is polished by an active-set step
+when its point misses the projected-gradient fixed-point test.
+``solve_box_qp`` solves the same least-squares program by accelerated
+projected gradient, never polished; no library code calls it, and the
+acceptance tests use it as a multi-start uniqueness probe.  Both report
+convergence by the same fixed-point test.
 
-Box-LS deliberately avoids scipy's BVLS: it is an active-set method and
-lands on a vertex of the box when the least-squares solution set is not a
-single point, which would make box_ls look like it recovers binary signals
-that its program does not determine.
+BVLS is an active-set method and lands on a vertex of the box when the
+least-squares solution set is not a single point, which would make box_ls
+look like it recovers binary signals that its program does not determine.
+With full column rank the objective is strictly convex and its minimizer
+unique, so there is nothing to choose between; on tall matrices TRF can
+stop short of the fixed point where BVLS finishes.
 """
 
 from __future__ import annotations
@@ -239,20 +243,26 @@ def solve_box_qp(A, b, lower, upper, tol=1e-10, max_iter=None, x0=None) -> BoxLs
 
 
 def solve_box_ls(A, b, lower, upper, tol=1e-10, max_iter=None) -> BoxLsResult:
-    """min ||Ax-b||_2 over the box, by scipy's trust-region reflective
-    method, polished when its point misses the fixed point.  ``max_iter``
-    caps the TRF iterations (scipy's default of 100 when None);
+    """min ||Ax-b||_2 over the box.  When A (m x N) has full column rank,
+    that is m >= N and ``np.linalg.matrix_rank(A) == N`` at numpy's default
+    tolerance (largest singular value * max(m, N) * machine epsilon), by
+    scipy's BVLS; otherwise by its trust-region reflective method, polished
+    when its point misses the fixed point.  ``max_iter`` caps the solver's
+    iterations (scipy's default when None: 100 for TRF, N for BVLS);
     ``converged`` is the projected-gradient fixed-point test at ``tol``, and
-    a point that misses it is ``max_iter`` only when TRF hit that cap."""
+    a point that misses it is ``max_iter`` only when the solver hit that
+    cap."""
     qp = _BoxQp(A, b, lower, upper)
-    res = lsq_linear(qp.A, qp.b, bounds=(qp.lower, qp.upper), method="trf",
-                     tol=tol, max_iter=max_iter)
+    m, N = qp.A.shape
+    full_rank = m >= N and np.linalg.matrix_rank(qp.A) == N
+    res = lsq_linear(qp.A, qp.b, bounds=(qp.lower, qp.upper),
+                     method="bvls" if full_rank else "trf", tol=tol, max_iter=max_iter)
     x = qp.proj(res.x)
     # TRF's iterates stay strictly inside the box, so they often end short of
     # the fixed point; only then polish.  Polishing a point that already
     # passes would only trade one minimizer for another, snapping towards a
     # vertex of the box where the least-squares solution set is wide.
-    if not qp.fixed_point(x, tol):
+    if not full_rank and not qp.fixed_point(x, tol):
         x = qp.polish(x)
-    # lsq_linear's status 0 is its iteration limit
+    # lsq_linear's status 0 is its iteration limit, for either method
     return qp.result(x, res.nit, tol, capped=res.status == 0)

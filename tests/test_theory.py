@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,41 @@ def test_closed_forms_match_quadrature_on_grid():
         assert abs(_tail_high(tau) - _quad_high(tau)) <= 1e-8
 
 
+def test_tails_equal_the_scipy_stats_expressions():
+    from binrec.theory import _tail_high, _tail_low
+    for tau in np.linspace(0.0, 20.0, 401):
+        assert _tail_low(tau) == (1.0 + tau * tau) * norm.cdf(tau) + tau * norm.pdf(tau)
+        assert _tail_high(tau) == (1.0 + tau * tau) * norm.cdf(-tau) - tau * norm.pdf(tau)
+
+
+def _on_scipy_stats(monkeypatch):
+    """Point theory's Gaussian functions at scipy.stats.norm."""
+    import binrec.theory as theory
+    monkeypatch.setattr(theory, "ndtr", norm.cdf)
+    monkeypatch.setattr(theory, "log_ndtr", norm.logcdf)
+    monkeypatch.setattr(theory, "ndtri", lambda q: -norm.isf(q))
+    monkeypatch.setattr(theory, "_norm_pdf", norm.pdf)
+
+
+def test_delta_bin_equals_its_scipy_stats_evaluation(monkeypatch):
+    grid = [(k, N) for N in (10, 100, 500) for k in range(0, N + 1, max(1, N // 10))]
+    ours = [delta_bin(k, N) for k, N in grid]
+    _on_scipy_stats(monkeypatch)
+    assert ours == [delta_bin(k, N) for k, N in grid]
+
+
+@pytest.mark.parametrize("base_dist", ["rademacher_scaled", "uniform_bounded"])
+def test_cert_success_rates_equal_their_scipy_stats_evaluation(monkeypatch, base_dist):
+    # criterion 7's parameters: N=200, k=10, mu=sigma=Lambda=0.5, eps=0.01
+    p = TheoryParams(N=200, k=10, m=150, mu=0.5, sigma=0.5, lambda_bound=0.5, eps=0.01)
+    ms = (2, 150, 2_000, 3_062, 97_213, 97_214)
+    ours = [cert_success_rates(replace(p, m=m), base_dist) for m in ms]
+    _on_scipy_stats(monkeypatch)
+    assert ours == [cert_success_rates(replace(p, m=m), base_dist) for m in ms]
+    if base_dist == "rademacher_scaled":
+        assert ours[0][2] == 97_214
+
+
 def test_delta_bin_special_values():
     assert delta_bin(500, 500) == pytest.approx(250.0, abs=1e-6)
     assert delta_bin(250, 500) == pytest.approx(250.0, abs=1e-6)
@@ -59,10 +95,20 @@ def test_delta_bin_monotone_in_k():
 
 
 def test_face_survival_exact_rational():
-    for j in range(1, 21):
+    # the correctly rounded value of the exact rational, on both sides of
+    # i = j/2 where the law sums its shorter tail
+    for j in range(1, 61):
         for i in range(1, j + 1):
             exact = Fraction(sum(math.comb(j - 1, l) for l in range(i)), 2 ** (j - 1))
-            assert face_survival_prob(i, j) == pytest.approx(float(exact), abs=1e-15)
+            assert face_survival_prob(i, j) == float(exact)
+
+
+def test_face_survival_far_tail_is_subnormal_not_zero():
+    # P_{2,1076} = 1076 / 2^1075 lies below the smallest normal double, where
+    # scipy.stats.binom.cdf returns 0
+    exact = float(Fraction(1076, 2 ** 1075))
+    assert exact == 2.66e-321
+    assert face_survival_prob(2, 1076) == exact > 0.0
 
 
 def test_face_survival_conventions_and_errors():
