@@ -3,6 +3,12 @@
 On the nonnegative box, ||x||_1 = sum(x) and ||1-x||_1 = N - sum(x), so the
 basis-pursuit programs and their mirrored variants are plain LPs.  The whole
 artifact hinges on this reduction; it is applied here and nowhere else.
+
+Under the paper's condition box-LS has box-BP's solution, the only point of
+{Ax = b} in the box.  So on a wide A (m < N), ``box_ls`` returns box-BP's
+rounded point when it passes box-LS's fixed-point test and
+``analysis.check_kernel_cone`` proves it the unique minimizer, and runs the
+least-squares solver only otherwise; with m >= N the solver is direct.
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
+from .analysis import ConeSpec, check_kernel_cone
 from .ensembles import BinarySignal, DenseMatrix
-from .optim import LpProblem, SolverFailure, solve_box_ls, solve_lp
+from .optim import LpProblem, SolverFailure, box_ls_point, solve_box_ls, solve_lp
 
 PROGRAMS = ("box_bp", "box_bp_mirror", "mibi_bp", "robust_box_bp", "box_ls")
 
@@ -130,8 +137,36 @@ def mibi_bp(p: RecoveryProblem) -> RecoveryReport:
 
 def box_ls(p: RecoveryProblem) -> RecoveryReport:
     """min ||Ax - b||_2  s.t.  x in [0,1]^N, by ``solve_box_ls`` at its
-    default tolerance and iteration cap."""
-    res = solve_box_ls(p.A.entries, p.b, 0.0, 1.0)
+    default tolerance and iteration cap, unless box-BP's point certifies the
+    answer first.
+
+    When A is wide (m < N), box-BP's LP point (the problem's cached one) is
+    rounded to a binary x.  If x passes ``solve_box_ls``'s fixed-point test
+    at its default tolerance, it is a minimizer.  If moreover ker(A) meets
+    the cone of the box's feasible directions at the vertex x trivially
+    (``check_kernel_cone`` on the sign cone of x's support), then x is the
+    only point z of the box with Az = Ax.  Every minimizer has the same Az,
+    since the objective is strictly convex in Az, so x is the unique
+    minimizer and is returned as ``converged``.  Otherwise, or when an LP
+    stops without a verdict, ``solve_box_ls`` runs.  With m >= N the
+    shortcut is not tried: the solver runs BVLS directly on a full-rank A,
+    and a noisy tall b would only pay for an infeasible LP.  On a problem
+    where box-BP's LP has not run, the shortcut solves it, which on noisy b
+    is most often an infeasible LP spent for nothing.
+    """
+    A = p.A.entries
+    m, N = A.shape
+    if m < N:
+        try:
+            bp = _bp_lp(p, mirror=False)
+            if bp.x_hat is not None:
+                res = box_ls_point(A, p.b, 0.0, 1.0, round_to_binary(bp.x_hat))
+                if res.converged and check_kernel_cone(
+                        A, ConeSpec.sign_cone(N, np.flatnonzero(res.x))).holds:
+                    return RecoveryReport(res.x, "box_ls", res.residual_norm, res.status)
+        except SolverFailure:
+            pass
+    res = solve_box_ls(A, p.b, 0.0, 1.0)
     return RecoveryReport(res.x, "box_ls", res.residual_norm, res.status)
 
 

@@ -28,7 +28,7 @@ from binrec.analysis import (ConeSpec, build_dual_certificate,
                              verify_certificate)
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
 from binrec.experiments import desk_scale_config, run_phase_transition, sweep_trial
-from binrec.optim import LpProblem, solve_box_qp, solve_lp
+from binrec.optim import LpProblem, solve_box_ls, solve_box_qp, solve_lp
 from binrec.recovery import (RecoveryProblem, box_bp, box_ls, recovery_success)
 from binrec.theory import (TheoryParams, cert_norm_bound, cert_success_rates,
                            delta_bin, face_survival_prob, noise_error_bound)
@@ -128,10 +128,12 @@ def biased_grid():
                 _, A, x0, b = sweep_trial(cfg, i, j, t)
                 bp = box_bp(RecoveryProblem(A, b))
                 wins += recovery_success(bp.x_hat, x0)
-                ls = box_ls(RecoveryProblem(A, b))
+                # the solver itself, not box_ls: on kernel-cone-verified
+                # trials box_ls returns box_bp's rounded point
+                ls = solve_box_ls(A.entries, b, 0.0, 1.0)
                 holds = check_kernel_cone(A, ConeSpec.sign_cone(cfg.N, x0.support)).holds
                 if bp.x_hat is not None:
-                    pairs.append((holds, float(np.linalg.norm(ls.x_hat - bp.x_hat))))
+                    pairs.append((holds, float(np.linalg.norm(ls.x - bp.x_hat))))
             rates[(kf, mf)] = wins / cfg.trials
     return cfg, rates, pairs
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binrec.analysis import ConeSpec, check_kernel_cone
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
 from binrec.experiments import desk_scale_config, sweep_trial
-from binrec.optim import SolverFailure
+from binrec.optim import SolverFailure, box_ls_point, solve_box_ls
 from binrec.recovery import (DEFAULT_SUCCESS_TOL, MIBI_TIE_TOL, RecoveryProblem,
                              RecoveryReport, box_bp, box_bp_mirror, box_ls, mibi_bp,
                              recovery_success, robust_box_bp, round_to_binary, solve)
@@ -310,6 +311,78 @@ def test_box_ls_stalled_short_of_its_cap_is_not_max_iter():
     rep = box_ls(RecoveryProblem(A, b))
     assert rep.solver_status == "stalled"
     assert not rep.feasible
+
+
+def _counting_solve_box_ls(monkeypatch):
+    import binrec.recovery
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_box_ls(*args, **kwargs)
+
+    monkeypatch.setattr(binrec.recovery, "solve_box_ls", counted)
+    return calls
+
+
+def test_box_ls_shortcut_matches_the_solver(monkeypatch):
+    # every trial of the desk-sweep sub-grid at master seed 1: box_ls, with
+    # or without the certified shortcut, agrees with the solver's own answer
+    calls = _counting_solve_box_ls(monkeypatch)
+    cfg = _desk_sweep_config(1)
+    trials = 0
+    for i in range(len(cfg.k_fractions)):
+        for j in range(len(cfg.m_fractions)):
+            for t in range(cfg.trials):
+                _, A, _, b = sweep_trial(cfg, i, j, t)
+                rep = box_ls(RecoveryProblem(A, b))
+                ref = solve_box_ls(A.entries, b, 0.0, 1.0)
+                assert rep.solver_status == ref.status
+                assert np.linalg.norm(rep.x_hat - ref.x) <= 1e-9
+                trials += 1
+    # the shortcut is taken: the solver ran on fewer trials than there are
+    assert len(calls) < trials
+
+
+@pytest.mark.parametrize("cell", [(0, 2), (2, 1)])
+def test_box_ls_noisy_wide_trial_runs_the_solver(monkeypatch, cell):
+    # noise of norm 0.1 on a wide trial: box-BP's LP is infeasible at
+    # k=10, m=50 and feasible at k=80, m=40, and neither certifies its
+    # rounding, so box_ls returns the solver's point unchanged
+    calls = _counting_solve_box_ls(monkeypatch)
+    cfg = dataclasses.replace(_desk_sweep_config(1), noise_eps=0.1)
+    _, A, _, b = sweep_trial(cfg, *cell, 0)
+    rep = box_ls(RecoveryProblem(A, b))
+    ref = solve_box_ls(A.entries, b, 0.0, 1.0)
+    assert len(calls) == 1
+    assert rep.solver_status == ref.status
+    assert np.array_equal(rep.x_hat, ref.x)
+
+
+def test_box_ls_runs_the_solver_when_the_lp_fails(monkeypatch):
+    # an LP without a verdict certifies nothing; box_ls must not fail on it
+    import binrec.recovery
+
+    def no_verdict(lp):
+        raise SolverFailure("iteration limit")
+
+    monkeypatch.setattr(binrec.recovery, "solve_lp", no_verdict)
+    calls = _counting_solve_box_ls(monkeypatch)
+    _, A, _, b = sweep_trial(_desk_sweep_config(1), 0, 2, 0)
+    rep = box_ls(RecoveryProblem(A, b))
+    assert len(calls) == 1
+    assert np.array_equal(rep.x_hat, solve_box_ls(A.entries, b, 0.0, 1.0).x)
+
+
+def test_box_ls_shortcut_declines_a_binary_point_without_the_cone():
+    # the trial of the "stalled" test above: box-BP's point is x0 and passes
+    # the fixed-point test, but ker(A) meets its cone, so x0 is not the only
+    # minimizer and the shortcut must not return it
+    _, A, x0, b = sweep_trial(_desk_sweep_config(12), 0, 0, 5)
+    x = round_to_binary(box_bp(RecoveryProblem(A, b)).x_hat)
+    assert np.array_equal(x, x0.dense())
+    assert box_ls_point(A.entries, b, 0.0, 1.0, x).converged
+    assert not check_kernel_cone(A, ConeSpec.sign_cone(A.N, x0.support)).holds
 
 
 def test_recovery_success_criterion():
