@@ -1,12 +1,12 @@
 """Dense convex solvers: box-bounded LPs and box-constrained least squares.
 
-LPs go to scipy's HiGHS dual simplex with its presolve off.  binrec's LPs
-are dense, with no empty, singleton or duplicate row or column for presolve
-to remove; at N=100 it took about 30% of each solve and left HiGHS's pivots
-as they were.  Box-constrained least squares goes to scipy's BVLS (``lsq_linear(method="bvls")``) when A has full column
-rank, and otherwise to its trust-region reflective method
-(``lsq_linear(method="trf")``), which is polished by an active-set step
-when its point misses the projected-gradient fixed-point test.
+LPs go to scipy's HiGHS dual simplex with its presolve off: on binrec's
+dense LPs presolve took about 30% of each solve at N=100, and a third at
+N=500.  Box-constrained least squares goes to scipy's BVLS
+(``lsq_linear(method="bvls")``) when A has full column rank, and otherwise
+to its trust-region reflective method (``lsq_linear(method="trf")``),
+which is polished by an active-set step when its point misses the
+projected-gradient fixed-point test.
 ``solve_box_qp`` solves the same least-squares program by accelerated
 projected gradient, never polished; no library code calls it, and the
 acceptance tests use it as a multi-start uniqueness probe.  Both report
