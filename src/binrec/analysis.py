@@ -136,10 +136,17 @@ def check_hkplus_dual(A, K) -> CertificateResult:
     return CertificateResult("holds", witness=v, margin=margin)
 
 
+def certificate_offset(mu: float, sigma: float) -> float:
+    """The explicit certificate's default offset rho = -sigma^2 / (4 mu)."""
+    if mu <= 0:
+        raise ValueError("rho is undefined for mu = 0; pass rho_override")
+    return -sigma ** 2 / (4.0 * mu)
+
+
 def build_dual_certificate(D, mu: float, sigma: float, J,
                            rho_override: float | None = None) -> np.ndarray:
     """The explicit candidate certificate rho*1 + D e - (1/m)<D e, 1> 1 with
-    e the indicator of J and default rho = -sigma^2 / (4 mu)."""
+    e the indicator of J and default rho = ``certificate_offset(mu, sigma)``."""
     D = _entries(D)
     m, N = D.shape
     J = np.asarray(sorted(J), dtype=int)
@@ -147,12 +154,7 @@ def build_dual_certificate(D, mu: float, sigma: float, J,
         raise ValueError("certificate support J must be nonempty")
     if J[0] < 0 or J[-1] >= N:
         raise ValueError("support indices out of range")
-    if rho_override is not None:
-        rho = rho_override
-    elif mu > 0:
-        rho = -sigma ** 2 / (4.0 * mu)
-    else:
-        raise ValueError("rho is undefined for mu = 0; pass rho_override")
+    rho = certificate_offset(mu, sigma) if rho_override is None else rho_override
     eps0 = np.zeros(N)
     eps0[J] = 1.0
     De = D @ eps0

@@ -139,13 +139,12 @@ def cmd_certificate(args) -> int:
     else:
         J = list(gen_sparse_binary(args.N, args.k, seed=args.seed + 1).support)
     D = A.entries - args.mu
-    nu = analysis.build_dual_certificate(D, args.mu, args.sigma, J,
-                                         rho_override=args.rho)
+    rho = analysis.certificate_offset(args.mu, args.sigma) if args.rho is None else args.rho
+    nu = analysis.build_dual_certificate(D, args.mu, args.sigma, J, rho_override=rho)
     t = analysis.certificate_threshold(args.m, args.sigma, args.variant)
     # the built certificate is positive on J; recovery of 1_J needs the sign flipped
     ok, margins = analysis.verify_certificate(A, -nu, J, t)
     nsq = float(nu @ nu)
-    rho = args.rho if args.rho is not None else -args.sigma ** 2 / (4 * args.mu)
     stated, proof = theory.cert_norm_bound(args.m, len(J), rho,
                                            args.sigma, args.lambda_bound)
     payload = {"verified": ok, "threshold": t, "min_margin": float(np.min(margins)),

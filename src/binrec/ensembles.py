@@ -88,10 +88,9 @@ class EnsembleConfig:
 
 @dataclass
 class DenseMatrix:
-    """Row-major dense m x N matrix with its generation provenance."""
+    """Row-major dense m x N matrix."""
 
     entries: np.ndarray
-    provenance: EnsembleConfig | str = "external"
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
@@ -259,8 +258,7 @@ def gen_matrix(config: EnsembleConfig) -> DenseMatrix:
         ops = [(np.add, config.mu)]
     if config.kind == "biased" and config.normalized:
         ops.append((np.multiply, scale))
-    return DenseMatrix(_fill(m, N, stream, ops, split=config.kind != "gaussian"),
-                       provenance=config)
+    return DenseMatrix(_fill(m, N, stream, ops, split=config.kind != "gaussian"))
 
 
 def gen_sparse_binary(N: int, k: int, seed: int = 0) -> BinarySignal:
@@ -297,7 +295,7 @@ def read_matrix(f: TextIO) -> DenseMatrix:
     entries = np.loadtxt(f, ndmin=2)
     if entries.shape != (m, N):
         raise ValueError(f"expected {m}x{N} matrix body, got {entries.shape}")
-    return DenseMatrix(entries, provenance="external")
+    return DenseMatrix(entries)
 
 
 def write_signal(signal: BinarySignal, f: TextIO) -> None:

@@ -7,13 +7,13 @@ N=500.  Box-constrained least squares goes to scipy's BVLS
 to its trust-region reflective method (``lsq_linear(method="trf")``),
 which is polished by an active-set step when its point misses the
 projected-gradient fixed-point test.
-``solve_box_qp`` solves the same least-squares program by accelerated
-projected gradient, never polished; no library code calls it, and the
-acceptance tests use it as a multi-start uniqueness probe.  Both report
-convergence by the same fixed-point test, and ``box_ls_point`` applies that
-test to a given point with no solver run: ``recovery.box_ls`` uses it on
-box-BP's rounded point, which it returns when a kernel-cone LP proves that
-point the unique minimizer.
+``solve_box_qp`` solves the same least-squares program by scipy's L-BFGS-B,
+never polished; no library code calls it, and the acceptance tests use it
+as a multi-start uniqueness probe.  Both report convergence by the same
+fixed-point test, and ``box_ls_point`` applies that test to a given point
+with no solver run: ``recovery.box_ls`` uses it on box-BP's rounded point,
+which it returns when a kernel-cone LP proves that point the unique
+minimizer.
 
 BVLS is an active-set method and lands on a vertex of the box when the
 least-squares solution set is not a single point, which would make box_ls
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, lsq_linear
+from scipy.optimize import Bounds, linprog, lsq_linear, minimize
 
 # HiGHS's primal feasibility tolerance: how far a returned point may leave a
 # constraint row before clipping into its bounds
@@ -142,32 +142,22 @@ class BoxLsResult:
     status: str
 
 
-def _lipschitz(A: np.ndarray) -> float:
-    """Largest eigenvalue of A^T A via 30 power-iteration steps."""
-    v = np.ones(A.shape[1])
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(30):
-        w = A.T @ (A @ v)
-        lam = float(np.linalg.norm(w))
-        if lam <= 0:
-            return 1.0
-        v = w / lam
-    return lam * 1.01  # power iteration approaches from below
-
-
 class _BoxQp:
     """min 0.5*||Ax-b||^2 over lower <= x <= upper."""
 
     def __init__(self, A, b, lower, upper):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        N = self.A.shape[1]
+        m, N = self.A.shape
         self.lower = np.broadcast_to(np.asarray(lower, dtype=float), (N,))
         self.upper = np.broadcast_to(np.asarray(upper, dtype=float), (N,))
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
-        self.gamma = 1.0 / _lipschitz(self.A)
+        # step 1/L with L just above A^T A's largest eigenvalue, read off the
+        # smaller Gram matrix; 1 on the zero matrix
+        G = self.A @ self.A.T if m < N else self.A.T @ self.A
+        lam = np.max(np.linalg.eigvalsh(G), initial=0.0)
+        self.gamma = 1.0 / (1.01 * lam) if lam > 0 else 1.0
 
     def proj(self, z):
         return np.clip(z, self.lower, self.upper)
@@ -217,8 +207,10 @@ class _BoxQp:
 
 
 def solve_box_qp(A, b, lower, upper, tol=1e-10, max_iter=None, x0=None) -> BoxLsResult:
-    """min 0.5*||Ax-b||^2 over the box, by accelerated projected gradient
-    with restart on objective increase (monotone iterates), from ``x0``.
+    """min 0.5*||Ax-b||^2 over the box, by scipy's L-BFGS-B from ``x0``
+    (the origin when None), with no stop on the objective's progress and
+    its projected-gradient stop at ``tol``.  ``max_iter`` caps L-BFGS-B's
+    iterations (50 N when None).
 
     The point is not polished: a multi-start caller sees tied optima as
     they are, where the polish would break ties toward on-bound points."""
@@ -226,26 +218,11 @@ def solve_box_qp(A, b, lower, upper, tol=1e-10, max_iter=None, x0=None) -> BoxLs
     N = qp.A.shape[1]
     if max_iter is None:
         max_iter = 50 * N
-    gamma = qp.gamma
     x = qp.proj(np.zeros(N) if x0 is None else np.asarray(x0, dtype=float))
-    v = x.copy()
-    t = 1.0
-    f_x = qp.obj(x)
-    it = 0
-    for it in range(1, max_iter + 1):
-        cand = qp.proj(v - gamma * qp.grad(v))
-        f_cand = qp.obj(cand)
-        if f_cand > f_x:
-            # momentum overshot: restart and take a plain descent step
-            cand = qp.proj(x - gamma * qp.grad(x))
-            f_cand = qp.obj(cand)
-            t = 1.0
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        v = cand + ((t - 1.0) / t_next) * (cand - x)
-        x, f_x, t = cand, f_cand, t_next
-        if qp.fixed_point(x, tol):
-            break
-    return qp.result(x, it, tol, capped=it >= max_iter)
+    res = minimize(qp.obj, x, jac=qp.grad, method="L-BFGS-B", bounds=Bounds(qp.lower, qp.upper),
+                   options={"maxiter": max_iter, "ftol": 0.0, "gtol": tol})
+    # L-BFGS-B's status 1 is its iteration (or evaluation) limit
+    return qp.result(qp.proj(res.x), res.nit, tol, capped=res.status == 1)
 
 
 def box_ls_point(A, b, lower, upper, x, tol=1e-10) -> BoxLsResult:

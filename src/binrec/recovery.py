@@ -22,8 +22,6 @@ from .analysis import ConeSpec, check_kernel_cone
 from .ensembles import BinarySignal, DenseMatrix
 from .optim import LpProblem, SolverFailure, box_ls_point, solve_box_ls, solve_lp
 
-PROGRAMS = ("box_bp", "box_bp_mirror", "mibi_bp", "robust_box_bp", "box_ls")
-
 DEFAULT_SUCCESS_TOL = 1e-4
 
 # mibi_bp takes the mirror branch only when its distance to its own rounding

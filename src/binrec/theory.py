@@ -22,9 +22,10 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from .analysis import certificate_threshold
+from .analysis import certificate_offset, certificate_threshold
 
 
 @dataclass
@@ -60,23 +61,6 @@ def _tail_high(tau: float) -> float:
     return (1.0 + tau * tau) * ndtr(-tau) - tau * _norm_pdf(tau)
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-10) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def delta_bin(k: float, N: float) -> float:
     """Gaussian sample-complexity curve for box-constrained basis pursuit at
     sparsity k: inf over tau >= 0 of k*L(tau) + (N-k)*U(tau)."""
@@ -88,14 +72,14 @@ def delta_bin(k: float, N: float) -> float:
     def objective(tau):
         return k * _tail_low(tau) + (N - k) * _tail_high(tau)
 
-    # coarse bracket on a 0.1 grid over [0, 20], then golden-section
+    # coarse bracket on a 0.1 grid over [0, 20], then bounded Brent
     grid = [i / 10.0 for i in range(201)]
     vals = [objective(t) for t in grid]
     i = min(range(len(grid)), key=vals.__getitem__)
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    tau_star = _golden_min(objective, lo, hi)
-    return min(objective(tau_star), vals[i])
+    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
+    return min(res.fun, vals[i])
 
 
 def _binomial_head(n: int, r: int) -> int:
@@ -216,7 +200,7 @@ def cert_success_rates(p: TheoryParams,
     if p.mu <= 0 or p.sigma <= 0:
         raise ValueError("need mu > 0 and sigma > 0")
     N, k, s2 = p.N, p.k, p.sigma ** 2
-    rho = -s2 / (4.0 * p.mu)
+    rho = certificate_offset(p.mu, p.sigma)
     c, d = 2.0 * k * k - 3.0 * k + k * kappa, k * (3.0 - kappa)
 
     def rates(m):

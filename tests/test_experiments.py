@@ -1,5 +1,8 @@
+import importlib.util
 import os
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +194,27 @@ def test_run_cell_solves_each_lp_once_per_trial(monkeypatch):
         assert len({(bool(p.c[0] > 0), p.b_eq.tobytes()) for p in calls}) == len(calls)
         theirs = [r for r in records if r.program == second]
         assert len(theirs) == cfg.trials and all(r.solver_status == "optimal" for r in theirs)
+
+
+def test_traced_run_cell_sees_every_program(monkeypatch):
+    # the benchmark's tracer replaces the program functions as module
+    # attributes; solve must look them up per call, or the traced sweep
+    # captures no reports and its checks pass on nothing
+    import binrec.experiments
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    cfg = _small_config(programs=("box_bp", "mibi_bp", "box_ls", "robust_box_bp"))
+    with tracing.installed(tracing.Tracer()) as tracer:
+        records = binrec.experiments.run_cell(cfg, 0, 0)
+    assert records == run_cell(cfg, 0, 0)
+    assert len(tracer.trials) == cfg.trials
+    for trial in tracer.trials:
+        assert [program for program, _, _ in trial.reports] == ["box_bp", "mibi_bp", "box_ls"]
+    robust = [s for s in tracer.spans if s.name == "recovery.robust_box_bp"]
+    assert len(robust) == cfg.trials
 
 
 def test_solver_failures_recorded_not_raised():

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from binrec.analysis import ConeSpec, check_kernel_cone
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_sparse_binary
-from binrec.optim import (LpProblem, SolverFailure, TOL_FEAS, _lipschitz,
-                          lp_feasible, solve_box_ls, solve_lp)
+from binrec.optim import (LpProblem, SolverFailure, TOL_FEAS, _BoxQp, box_ls_point,
+                          lp_feasible, solve_box_ls, solve_box_qp, solve_lp)
 
 from oracles import (box_qp_kkt_violations, enumerate_lp_optimum, lp_kkt_violations,
                      random_bounded_lp)
@@ -229,7 +229,19 @@ def test_box_ls_max_iter_flagged_not_raised():
     assert res.x.shape == (30,)
     assert np.all((res.x >= 0) & (res.x <= 1))
     # converged must truthfully report the fixed-point criterion
-    gamma = 1.0 / _lipschitz(A)
+    gamma = _BoxQp(A, b, 0, 1).gamma
     fp = np.linalg.norm(res.x - np.clip(res.x - gamma * A.T @ (A @ res.x - b), 0.0, 1.0))
     assert res.converged == (fp <= 1e-10)
     assert res.status == ("converged" if res.converged else "max_iter")
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (6, 4)])
+def test_box_ls_on_the_zero_matrix(shape):
+    # every point of the box is a minimizer, and A^T A has no positive
+    # eigenvalue to set the fixed-point test's step from
+    A = np.zeros(shape)
+    b = np.ones(shape[0])
+    for res in (solve_box_ls(A, b, 0.0, 1.0), solve_box_qp(A, b, 0.0, 1.0),
+                box_ls_point(A, b, 0.0, 1.0, np.full(shape[1], 0.5))):
+        assert res.status == "converged"
+        assert np.all(np.isfinite(res.x)) and np.all((res.x >= 0) & (res.x <= 1))
