@@ -14,49 +14,41 @@ import numpy as np
 from .ensembles import DenseMatrix
 from .optim import LpProblem, lp_feasible, solve_lp
 
-NONPOS, NONNEG, ZERO, FREE = "nonpos", "nonneg", "zero", "free"
-
 
 @dataclass
 class ConeSpec:
-    """Per-index sign constraints, plus an optional global sum(w) <= 0 row."""
+    """The cone of a sign vector s: w_i <= 0 where s_i = -1, w_i = 0 where
+    s_i = 0 and w_i >= 0 where s_i = +1, plus an optional global
+    sum(w) <= 0 row."""
 
-    signs: list
+    signs: np.ndarray
     sum_nonpos: bool = False
 
     def __post_init__(self):
-        bad = set(self.signs) - {NONPOS, NONNEG, ZERO, FREE}
-        if bad:
-            raise ValueError(f"unknown sign constraints: {sorted(bad)}")
+        self.signs = np.asarray(self.signs, dtype=float)
+        if self.signs.ndim != 1 or not np.all((self.signs == 0) | (np.abs(self.signs) == 1)):
+            raise ValueError("signs must be a vector of -1, 0 and +1")
 
     @property
     def N(self) -> int:
-        return len(self.signs)
+        return self.signs.size
 
     @classmethod
     def sign_cone(cls, N: int, K, sum_nonpos: bool = False) -> "ConeSpec":
         """The cone of vectors nonpositive on K and nonnegative off K."""
-        signs = [NONNEG] * N
-        for i in K:
-            if not 0 <= i < N:
-                raise ValueError(f"index {i} outside [0, {N})")
-            signs[i] = NONPOS
+        idx = np.asarray(K, dtype=int)
+        if not np.array_equal(idx, K) or np.any((idx < 0) | (idx >= N)):
+            raise ValueError(f"support indices must be integers in [0, {N})")
+        signs = np.ones(N)
+        signs[idx] = -1.0
         return cls(signs, sum_nonpos=sum_nonpos)
 
     def intersect(self, other: "ConeSpec") -> "ConeSpec":
-        """Componentwise intersection; conflicting sign pairs collapse to zero."""
+        """Componentwise intersection; differing signs collapse to zero."""
         if self.N != other.N:
             raise ValueError("cone dimensions differ")
-        merged = []
-        for a, b in zip(self.signs, other.signs):
-            pair = {a, b}
-            if ZERO in pair or pair == {NONPOS, NONNEG}:
-                merged.append(ZERO)
-            elif a == FREE:
-                merged.append(b)
-            else:
-                merged.append(a if b == FREE or a == b else ZERO)
-        return ConeSpec(merged, sum_nonpos=self.sum_nonpos or other.sum_nonpos)
+        return ConeSpec(np.where(self.signs == other.signs, self.signs, 0.0),
+                        sum_nonpos=self.sum_nonpos or other.sum_nonpos)
 
 
 @dataclass
@@ -78,40 +70,28 @@ def check_kernel_cone(A, cone: ConeSpec) -> CertificateResult:
     """Is ker(A) intersected with the cone trivial?
 
     Feasibility LP for a nonzero cone element: Aw = 0, the sign constraints,
-    optionally sum(w) <= 0, and the normalization sum over sign-constrained
-    coordinates of |w_i| equal to 1 (valid by scale invariance; on the cone
-    that sum is a linear functional).  Verdict "fails" iff such a w exists.
+    optionally sum(w) <= 0, and the normalization s.w = 1 with s the cone's
+    signs, which on the cone is the sum of |w_i| (valid by scale
+    invariance).  Verdict "fails" iff such a w exists; the {0} cone, with
+    no nonzero sign, holds.
     """
     A = _entries(A)
     m, N = A.shape
     if cone.N != N:
         raise ValueError(f"cone dimension {cone.N} != matrix columns {N}")
-    lower = np.empty(N)
-    upper = np.empty(N)
-    norm_row = np.zeros(N)
-    for i, s in enumerate(cone.signs):
-        if s == NONPOS:
-            lower[i], upper[i], norm_row[i] = -1.0, 0.0, -1.0
-        elif s == NONNEG:
-            lower[i], upper[i], norm_row[i] = 0.0, 1.0, 1.0
-        elif s == ZERO:
-            lower[i] = upper[i] = norm_row[i] = 0.0
-        else:
-            lower[i], upper[i] = -np.inf, np.inf
-    if not norm_row.any():
-        # no sign-constrained coordinate: nontrivial iff ker(A) itself is
-        raise ValueError("cone with only free coordinates is not checkable here")
-    A_eq = np.vstack([A, norm_row])
+    s = cone.signs
+    if not s.any():
+        return CertificateResult("holds")
     b_eq = np.zeros(m + 1)
     b_eq[-1] = 1.0
     A_ineq = np.ones((1, N)) if cone.sum_nonpos else None
     b_ineq = np.zeros(1) if cone.sum_nonpos else None
-    feasible, w = lp_feasible(LpProblem(c=np.zeros(N), A_eq=A_eq, b_eq=b_eq,
+    feasible, w = lp_feasible(LpProblem(c=np.zeros(N), A_eq=np.vstack([A, s]), b_eq=b_eq,
                                         A_ineq=A_ineq, b_ineq=b_ineq,
-                                        lower=lower, upper=upper))
+                                        lower=np.minimum(s, 0.0), upper=np.maximum(s, 0.0)))
     if feasible:
         return CertificateResult("fails", witness=w, margin=float(np.linalg.norm(A @ w)))
-    return CertificateResult("holds", witness=None, margin=0.0)
+    return CertificateResult("holds")
 
 
 def check_hkplus_dual(A, K) -> CertificateResult:
@@ -122,11 +102,7 @@ def check_hkplus_dual(A, K) -> CertificateResult:
     """
     A = _entries(A)
     m, N = A.shape
-    K = np.asarray(sorted(K), dtype=int)
-    if K.size and (K[0] < 0 or K[-1] >= N):
-        raise ValueError("support indices out of range")
-    sign = np.ones(N)
-    sign[K] = -1.0
+    sign = ConeSpec.sign_cone(N, K).signs
     # rows: -sign_i * (A^T v)_i <= -1
     G = -(A * sign).T
     feasible, v = lp_feasible(LpProblem(c=np.zeros(m), A_ineq=G, b_ineq=-np.ones(N)))
@@ -168,10 +144,7 @@ def verify_certificate(A, nu: np.ndarray, K, t: float):
     if t < 0:
         raise ValueError("threshold t must be nonnegative")
     A = _entries(A)
-    N = A.shape[1]
-    K = np.asarray(sorted(K), dtype=int)
-    sign = np.ones(N)
-    sign[K] = -1.0
+    sign = ConeSpec.sign_cone(A.shape[1], K).signs
     margins = sign * (A.T @ np.asarray(nu, dtype=float)) - t
     return bool(np.all(margins > 0)), margins
 
@@ -196,9 +169,8 @@ def restricted_sv_bounds(A, K, num_samples: int = 200, seed: int = 0):
     """
     A = _entries(A)
     m, N = A.shape
-    K = np.asarray(sorted(K), dtype=int)
-    sign = np.ones(N)
-    sign[K] = -1.0
+    cone = ConeSpec.sign_cone(N, K)
+    sign = cone.signs
 
     # lower bound: min sum(v+ + v-) s.t. sign_i (A^T v)_i >= 1
     G = -(A * sign).T
@@ -214,7 +186,7 @@ def restricted_sv_bounds(A, K, num_samples: int = 200, seed: int = 0):
 
     rng = np.random.default_rng(seed)
     directions = np.abs(rng.standard_normal((num_samples, N))) * sign
-    kernel = check_kernel_cone(A, ConeSpec.sign_cone(N, K))
+    kernel = check_kernel_cone(A, cone)
     if not kernel.holds:
         directions = np.vstack([directions, kernel.witness])
     norms = np.linalg.norm(directions, axis=1)

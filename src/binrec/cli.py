@@ -273,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--support", default="", help="comma-separated indices of K")
-    p.add_argument("--alt-support", default="", help="indices of S for newnsp")
+    p.add_argument("--alt-support", default="",
+                   help="indices of S for newnsp; without it S = K, the cone is {0} "
+                        "and the condition holds trivially")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when the condition fails")
     p.set_defaults(fn=cmd_check)

@@ -110,15 +110,15 @@ class PhaseDiagram:
 
 def _solve_one(program, problems, tol_x0, x0_dense):
     """Run one program on the trial's (noiseless, noisy) problems, never
-    raising; returns (success, error, status, x_hat)."""
+    raising; returns (success, error, status)."""
     try:
         rep = solve(program, problems[1 if program == "robust_box_bp" else 0])
     except (SolverFailure, ValueError) as exc:
-        return False, float("nan"), f"error:{type(exc).__name__}", None
+        return False, float("nan"), f"error:{type(exc).__name__}"
     if rep.x_hat is None:
-        return False, float("nan"), rep.solver_status, None
+        return False, float("nan"), rep.solver_status
     err = float(np.linalg.norm(rep.x_hat - x0_dense))
-    return recovery_success(rep.x_hat, x0_dense, tol_x0), err, rep.solver_status, rep.x_hat
+    return recovery_success(rep.x_hat, x0_dense, tol_x0), err, rep.solver_status
 
 
 def sweep_trial(config: ExperimentConfig, cell_i: int, cell_j: int, t: int) -> tuple:
@@ -159,11 +159,11 @@ def run_cell(config: ExperimentConfig, cell_i: int, cell_j: int) -> list:
         if config.record_simultaneous:
             mirror_problems = _problems(A, A.entries @ (1.0 - x0d), eta)
         for program in config.programs:
-            ok, err, status, _ = _solve_one(program, problems, config.success_tol, x0d)
+            ok, err, status = _solve_one(program, problems, config.success_tol, x0d)
             both = neither = None
             if config.record_simultaneous:
-                ok2, _, _, _ = _solve_one(program, mirror_problems,
-                                          config.success_tol, 1.0 - x0d)
+                ok2, _, _ = _solve_one(program, mirror_problems,
+                                       config.success_tol, 1.0 - x0d)
                 both = ok and ok2
                 neither = not ok and not ok2
             records.append(TrialRecord(config.N, A.m, x0.k, t, program, ens.kind, ens.mu,

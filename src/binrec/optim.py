@@ -1,8 +1,8 @@
-"""Dense convex solvers: box-bounded LPs and box-constrained least squares.
+"""Dense convex solvers: box-bounded LPs and least squares on the unit box.
 
 LPs go to scipy's HiGHS dual simplex with its presolve off: on binrec's
 dense LPs presolve took about 30% of each solve at N=100, and a third at
-N=500.  Box-constrained least squares goes to scipy's BVLS
+N=500.  Least squares over [0,1]^N goes to scipy's BVLS
 (``lsq_linear(method="bvls")``) when A has full column rank, and otherwise
 to its trust-region reflective method (``lsq_linear(method="trf")``),
 which is polished by an active-set step when its point misses the
@@ -143,16 +143,12 @@ class BoxLsResult:
 
 
 class _BoxQp:
-    """min 0.5*||Ax-b||^2 over lower <= x <= upper."""
+    """min 0.5*||Ax-b||^2 over the unit box [0,1]^N."""
 
-    def __init__(self, A, b, lower, upper):
+    def __init__(self, A, b):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         m, N = self.A.shape
-        self.lower = np.broadcast_to(np.asarray(lower, dtype=float), (N,))
-        self.upper = np.broadcast_to(np.asarray(upper, dtype=float), (N,))
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower bound exceeds upper bound")
         # step 1/L with L just above A^T A's largest eigenvalue, read off the
         # smaller Gram matrix; 1 on the zero matrix
         G = self.A @ self.A.T if m < N else self.A.T @ self.A
@@ -160,7 +156,7 @@ class _BoxQp:
         self.gamma = 1.0 / (1.01 * lam) if lam > 0 else 1.0
 
     def proj(self, z):
-        return np.clip(z, self.lower, self.upper)
+        return np.clip(z, 0.0, 1.0)
 
     def grad(self, z):
         return self.A.T @ (self.A @ z - self.b)
@@ -179,18 +175,18 @@ class _BoxQp:
         decreases.  Iterative methods stall on near-singular A (solution
         error can sit orders of magnitude above the fixed-point residual
         along tiny-singular-value directions); this finishes the job."""
-        A, lower, upper = self.A, self.lower, self.upper
+        A = self.A
         f_x = self.obj(x)
         for snap in (1e-3, 1e-6, 1e-9):
-            lo_act = x - lower <= snap
-            hi_act = upper - x <= snap
-            cand = np.where(lo_act, lower, np.where(hi_act, upper, x))
+            lo_act = x <= snap
+            hi_act = 1.0 - x <= snap
+            cand = np.where(lo_act, 0.0, np.where(hi_act, 1.0, x))
             free = ~(lo_act | hi_act)
             if np.any(free):
                 r = self.b - A[:, ~free] @ cand[~free]
                 Af = A[:, free]
                 sol = np.linalg.lstsq(Af.T @ Af, Af.T @ r, rcond=None)[0]
-                cand[free] = np.clip(sol, lower[free], upper[free])
+                cand[free] = self.proj(sol)
             f_cand = self.obj(cand)
             if f_cand < f_x:
                 x, f_x = cand, f_cand
@@ -206,35 +202,35 @@ class _BoxQp:
                            status="converged" if converged else "max_iter" if capped else "stalled")
 
 
-def solve_box_qp(A, b, lower, upper, tol=1e-10, max_iter=None, x0=None) -> BoxLsResult:
-    """min 0.5*||Ax-b||^2 over the box, by scipy's L-BFGS-B from ``x0``
+def solve_box_qp(A, b, tol=1e-10, max_iter=None, x0=None) -> BoxLsResult:
+    """min 0.5*||Ax-b||^2 over [0,1]^N, by scipy's L-BFGS-B from ``x0``
     (the origin when None), with no stop on the objective's progress and
     its projected-gradient stop at ``tol``.  ``max_iter`` caps L-BFGS-B's
     iterations (50 N when None).
 
     The point is not polished: a multi-start caller sees tied optima as
     they are, where the polish would break ties toward on-bound points."""
-    qp = _BoxQp(A, b, lower, upper)
+    qp = _BoxQp(A, b)
     N = qp.A.shape[1]
     if max_iter is None:
         max_iter = 50 * N
     x = qp.proj(np.zeros(N) if x0 is None else np.asarray(x0, dtype=float))
-    res = minimize(qp.obj, x, jac=qp.grad, method="L-BFGS-B", bounds=Bounds(qp.lower, qp.upper),
+    res = minimize(qp.obj, x, jac=qp.grad, method="L-BFGS-B", bounds=Bounds(0.0, 1.0),
                    options={"maxiter": max_iter, "ftol": 0.0, "gtol": tol})
     # L-BFGS-B's status 1 is its iteration (or evaluation) limit
     return qp.result(qp.proj(res.x), res.nit, tol, capped=res.status == 1)
 
 
-def box_ls_point(A, b, lower, upper, x, tol=1e-10) -> BoxLsResult:
-    """``x``, clipped into the box, judged by ``solve_box_ls``'s own test
+def box_ls_point(A, b, x, tol=1e-10) -> BoxLsResult:
+    """``x``, clipped into [0,1]^N, judged by ``solve_box_ls``'s own test
     with no solver run: ``converged`` when it passes the fixed-point test at
     ``tol`` and ``stalled`` otherwise."""
-    qp = _BoxQp(A, b, lower, upper)
+    qp = _BoxQp(A, b)
     return qp.result(qp.proj(np.asarray(x, dtype=float)), 0, tol, capped=False)
 
 
-def solve_box_ls(A, b, lower, upper, tol=1e-10, max_iter=None) -> BoxLsResult:
-    """min ||Ax-b||_2 over the box.  When A (m x N) has full column rank,
+def solve_box_ls(A, b, tol=1e-10, max_iter=None) -> BoxLsResult:
+    """min ||Ax-b||_2 over [0,1]^N.  When A (m x N) has full column rank,
     that is m >= N and ``np.linalg.matrix_rank(A) == N`` at numpy's default
     tolerance (largest singular value * max(m, N) * machine epsilon), by
     scipy's BVLS; otherwise by its trust-region reflective method, polished
@@ -243,10 +239,10 @@ def solve_box_ls(A, b, lower, upper, tol=1e-10, max_iter=None) -> BoxLsResult:
     ``converged`` is the projected-gradient fixed-point test at ``tol``, and
     a point that misses it is ``max_iter`` only when the solver hit that
     cap."""
-    qp = _BoxQp(A, b, lower, upper)
+    qp = _BoxQp(A, b)
     m, N = qp.A.shape
     full_rank = m >= N and np.linalg.matrix_rank(qp.A) == N
-    res = lsq_linear(qp.A, qp.b, bounds=(qp.lower, qp.upper),
+    res = lsq_linear(qp.A, qp.b, bounds=(0.0, 1.0),
                      method="bvls" if full_rank else "trf", tol=tol, max_iter=max_iter)
     x = qp.proj(res.x)
     # TRF's iterates stay strictly inside the box, so they often end short of

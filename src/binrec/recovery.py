@@ -158,13 +158,13 @@ def box_ls(p: RecoveryProblem) -> RecoveryReport:
         try:
             bp = _bp_lp(p, mirror=False)
             if bp.x_hat is not None:
-                res = box_ls_point(A, p.b, 0.0, 1.0, round_to_binary(bp.x_hat))
+                res = box_ls_point(A, p.b, round_to_binary(bp.x_hat))
                 if res.converged and check_kernel_cone(
                         A, ConeSpec.sign_cone(N, np.flatnonzero(res.x))).holds:
                     return RecoveryReport(res.x, "box_ls", res.residual_norm, res.status)
         except SolverFailure:
             pass
-    res = solve_box_ls(A, p.b, 0.0, 1.0)
+    res = solve_box_ls(A, p.b)
     return RecoveryReport(res.x, "box_ls", res.residual_norm, res.status)
 
 
@@ -193,7 +193,7 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
         rep = _bp_lp(p, mirror=False)
         return RecoveryReport(rep.x_hat, "robust_box_bp", rep.objective, rep.solver_status)
     # infeasible iff eta < dist(b, A [0,1]^N)
-    ls = solve_box_ls(A, b, 0.0, 1.0)
+    ls = solve_box_ls(A, b)
     if ls.residual_norm > eta + 1e-7:
         return RecoveryReport(None, "robust_box_bp", np.nan, "infeasible")
 

@@ -68,7 +68,7 @@ def _ls_unique_recovers(A, b, x0):
     # optima onto one vertex and mask non-uniqueness
     recovered, unconverged = True, 0
     for start in (np.zeros(N), np.ones(N), np.full(N, 0.5)):
-        res = solve_box_qp(A, b, 0.0, 1.0, x0=start, tol=1e-11)
+        res = solve_box_qp(A, b, x0=start, tol=1e-11)
         unconverged += not res.converged
         if np.linalg.norm(res.x - x0) > 1e-4 * max(1.0, np.linalg.norm(x0)):
             recovered = False
@@ -135,7 +135,7 @@ def biased_grid():
                 wins += recovery_success(bp.x_hat, x0)
                 # the solver itself, not box_ls: on kernel-cone-verified
                 # trials box_ls returns box_bp's rounded point
-                ls = solve_box_ls(A.entries, b, 0.0, 1.0)
+                ls = solve_box_ls(A.entries, b)
                 holds = check_kernel_cone(A, ConeSpec.sign_cone(cfg.N, x0.support)).holds
                 if bp.x_hat is not None:
                     pairs.append((holds, float(np.linalg.norm(ls.x - bp.x_hat))))

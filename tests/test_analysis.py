@@ -22,15 +22,38 @@ def _random_AK(rng, max_m=8, max_N=12, kinds=("gaussian", "bernoulli")):
 
 def test_cone_spec_construction_and_intersection():
     cone = ConeSpec.sign_cone(4, [1, 3])
-    assert cone.signs == ["nonneg", "nonpos", "nonneg", "nonpos"]
+    assert cone.signs.tolist() == [1.0, -1.0, 1.0, -1.0]
     other = ConeSpec.sign_cone(4, [0, 1])
     merged = cone.intersect(other)
     # index 0 has conflicting signs and collapses to zero; index 1 agrees
-    assert merged.signs == ["zero", "nonpos", "nonneg", "zero"]
+    assert merged.signs.tolist() == [0.0, -1.0, 1.0, 0.0]
+    # all 9 sign pairs: equal signs stay, any other pair leaves only w_i = 0
+    a, b = np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])
+    table = ConeSpec(a.ravel()).intersect(ConeSpec(b.ravel())).signs
+    assert table.tolist() == [-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    assert ConeSpec.sign_cone(2, [0], sum_nonpos=True).intersect(
+        ConeSpec.sign_cone(2, [1])).sum_nonpos
     with pytest.raises(ValueError):
-        ConeSpec(["nonneg", "sideways"])
+        ConeSpec([1.0, 2.0])
+    with pytest.raises(ValueError):
+        ConeSpec(np.ones((2, 2)))
     with pytest.raises(ValueError):
         ConeSpec.sign_cone(3, [5])
+    with pytest.raises(ValueError):
+        cone.intersect(ConeSpec.sign_cone(3, []))
+
+
+@pytest.mark.parametrize("K", [[-1], [3], [1.5]], ids=["below", "above", "fractional"])
+def test_supports_outside_the_columns_are_rejected(K):
+    A = np.array([[1.0, 2.0, -1.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(ValueError):
+        ConeSpec.sign_cone(3, K)
+    with pytest.raises(ValueError):
+        check_hkplus_dual(A, K)
+    with pytest.raises(ValueError):
+        verify_certificate(A, np.ones(2), K, 0.5)
+    with pytest.raises(ValueError):
+        restricted_sv_bounds(A, K, num_samples=4)
 
 
 def test_kernel_cone_invertible_matrix_holds():
@@ -45,6 +68,8 @@ def test_kernel_cone_hand_examples():
     w = fails.witness
     assert w[0] < 0 < w[1] and abs(w[0] + w[1]) <= 1e-9
     assert check_kernel_cone(np.array([[1.0, -1.0]]), ConeSpec.sign_cone(2, [0])).holds
+    # the {0} cone meets every kernel trivially, the zero matrix's included
+    assert check_kernel_cone(np.zeros((1, 2)), ConeSpec(np.zeros(2))).holds
 
 
 def test_kernel_cone_witness_satisfies_constraints():
@@ -136,10 +161,7 @@ def test_joint_recovery_implies_intersected_cone_trivial():
             continue
         Sc = np.setdiff1d(np.arange(N), S)
         cone = ConeSpec.sign_cone(N, K).intersect(ConeSpec.sign_cone(N, Sc))
-        try:
-            assert check_kernel_cone(A, cone).holds
-        except ValueError:
-            continue  # cone degenerated to all-free (cannot happen for K != Sc)
+        assert check_kernel_cone(A, cone).holds
         checked += 1
     assert checked >= 20
 

@@ -48,6 +48,16 @@ def test_check_strict_exit_code(capsys, tmp_path):
     assert "fails" in out
 
 
+def test_check_newnsp_without_alt_support_holds(capsys, tmp_path):
+    # S = K, so the intersected cone is {0}
+    path = tmp_path / "A.txt"
+    path.write_text("2 4\n1 2 0 1\n1 1 1 1\n")
+    code, out = run_cli(capsys, "check", "--condition", "newnsp",
+                        "--matrix", str(path), "--support", "0,3")
+    assert code == 0
+    assert out.strip() == "newnsp: holds"
+
+
 def test_gen_and_solve_matches_library(capsys, tmp_path):
     mat = str(tmp_path / "A.txt")
     sig = str(tmp_path / "x.txt")

@@ -181,13 +181,13 @@ def test_lp_optimum_matches_oracle_property(seed):
 
 def test_box_ls_identity_interior():
     b = np.array([0.2, 0.5, 0.9])
-    res = solve_box_ls(np.eye(3), b, 0.0, 1.0)
+    res = solve_box_ls(np.eye(3), b)
     assert res.converged
     assert np.allclose(res.x, b, atol=1e-9)
 
 
 def test_box_ls_identity_projects_onto_box():
-    res = solve_box_ls(np.eye(4), 2.0 * np.ones(4), 0.0, 1.0)
+    res = solve_box_ls(np.eye(4), 2.0 * np.ones(4))
     assert np.allclose(res.x, np.ones(4), atol=1e-9)
 
 
@@ -195,7 +195,7 @@ def test_box_ls_point_meets_kkt():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((15, 25))
     b = rng.standard_normal(15)
-    res = solve_box_ls(A, b, 0.0, 1.0, tol=1e-10)
+    res = solve_box_ls(A, b, tol=1e-10)
     assert res.converged
     violations = box_qp_kkt_violations(A, b, 0.0, 1.0, res.x)
     assert max(violations.values()) <= 1e-8, violations
@@ -215,7 +215,7 @@ def test_box_ls_unique_feasible_point_recovered():
             continue
         x0 = np.zeros(40)
         x0[K] = 1.0
-        res = solve_box_ls(A, A @ x0, 0.0, 1.0, tol=1e-12)
+        res = solve_box_ls(A, A @ x0, tol=1e-12)
         assert np.linalg.norm(res.x - x0) <= 1e-9
         return
     pytest.fail("no instance with trivial kernel-cone intersection found")
@@ -225,11 +225,11 @@ def test_box_ls_max_iter_flagged_not_raised():
     rng = np.random.default_rng(8)
     A = rng.standard_normal((10, 30))
     b = rng.standard_normal(10)
-    res = solve_box_ls(A, b, 0.0, 1.0, max_iter=2)
+    res = solve_box_ls(A, b, max_iter=2)
     assert res.x.shape == (30,)
     assert np.all((res.x >= 0) & (res.x <= 1))
     # converged must truthfully report the fixed-point criterion
-    gamma = _BoxQp(A, b, 0, 1).gamma
+    gamma = _BoxQp(A, b).gamma
     fp = np.linalg.norm(res.x - np.clip(res.x - gamma * A.T @ (A @ res.x - b), 0.0, 1.0))
     assert res.converged == (fp <= 1e-10)
     assert res.status == ("converged" if res.converged else "max_iter")
@@ -241,7 +241,7 @@ def test_box_ls_on_the_zero_matrix(shape):
     # eigenvalue to set the fixed-point test's step from
     A = np.zeros(shape)
     b = np.ones(shape[0])
-    for res in (solve_box_ls(A, b, 0.0, 1.0), solve_box_qp(A, b, 0.0, 1.0),
-                box_ls_point(A, b, 0.0, 1.0, np.full(shape[1], 0.5))):
+    for res in (solve_box_ls(A, b), solve_box_qp(A, b),
+                box_ls_point(A, b, np.full(shape[1], 0.5))):
         assert res.status == "converged"
         assert np.all(np.isfinite(res.x)) and np.all((res.x >= 0) & (res.x <= 1))

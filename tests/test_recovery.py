@@ -336,7 +336,7 @@ def test_box_ls_shortcut_matches_the_solver(monkeypatch):
             for t in range(cfg.trials):
                 _, A, _, b = sweep_trial(cfg, i, j, t)
                 rep = box_ls(RecoveryProblem(A, b))
-                ref = solve_box_ls(A.entries, b, 0.0, 1.0)
+                ref = solve_box_ls(A.entries, b)
                 assert rep.solver_status == ref.status
                 assert np.linalg.norm(rep.x_hat - ref.x) <= 1e-9
                 trials += 1
@@ -353,7 +353,7 @@ def test_box_ls_noisy_wide_trial_runs_the_solver(monkeypatch, cell):
     cfg = dataclasses.replace(_desk_sweep_config(1), noise_eps=0.1)
     _, A, _, b = sweep_trial(cfg, *cell, 0)
     rep = box_ls(RecoveryProblem(A, b))
-    ref = solve_box_ls(A.entries, b, 0.0, 1.0)
+    ref = solve_box_ls(A.entries, b)
     assert len(calls) == 1
     assert rep.solver_status == ref.status
     assert np.array_equal(rep.x_hat, ref.x)
@@ -371,7 +371,7 @@ def test_box_ls_runs_the_solver_when_the_lp_fails(monkeypatch):
     _, A, _, b = sweep_trial(_desk_sweep_config(1), 0, 2, 0)
     rep = box_ls(RecoveryProblem(A, b))
     assert len(calls) == 1
-    assert np.array_equal(rep.x_hat, solve_box_ls(A.entries, b, 0.0, 1.0).x)
+    assert np.array_equal(rep.x_hat, solve_box_ls(A.entries, b).x)
 
 
 def test_box_ls_shortcut_declines_a_binary_point_without_the_cone():
@@ -381,7 +381,7 @@ def test_box_ls_shortcut_declines_a_binary_point_without_the_cone():
     _, A, x0, b = sweep_trial(_desk_sweep_config(12), 0, 0, 5)
     x = round_to_binary(box_bp(RecoveryProblem(A, b)).x_hat)
     assert np.array_equal(x, x0.dense())
-    assert box_ls_point(A.entries, b, 0.0, 1.0, x).converged
+    assert box_ls_point(A.entries, b, x).converged
     assert not check_kernel_cone(A, ConeSpec.sign_cone(A.N, x0.support)).holds
 
 
