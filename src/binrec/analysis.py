@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import DenseMatrix
-from .optim import LpProblem, lp_feasible, solve_lp
+from .optim import LpProblem, lp_feasible
 
 
 @dataclass
@@ -157,39 +157,3 @@ def certificate_threshold(m: int, sigma: float, variant: str = "lemma") -> float
     except KeyError:
         raise ValueError(f"unknown threshold variant {variant!r}") from None
 
-
-def restricted_sv_bounds(A, K, num_samples: int = 200, seed: int = 0):
-    """Bracket the cone-restricted singular value min ||Aw|| over unit w with
-    w <= 0 on K and >= 0 off K.
-
-    Lower bound: t / ||nu|| for the minimum-l1-norm dual vector nu with unit
-    margin (0 if none exists).  Upper bound: minimum of ||Aw|| over sampled
-    unit directions of the cone, including the kernel witness when the cone
-    meets the kernel nontrivially.
-    """
-    A = _entries(A)
-    m, N = A.shape
-    cone = ConeSpec.sign_cone(N, K)
-    sign = cone.signs
-
-    # lower bound: min sum(v+ + v-) s.t. sign_i (A^T v)_i >= 1
-    G = -(A * sign).T
-    c = np.ones(2 * m)
-    G2 = np.hstack([G, -G])
-    sol = solve_lp(LpProblem(c=c, A_ineq=G2, b_ineq=-np.ones(N),
-                             lower=np.zeros(2 * m), upper=np.full(2 * m, np.inf)))
-    if sol.status == "optimal":
-        v = sol.x[:m] - sol.x[m:]
-        lower = 1.0 / float(np.linalg.norm(v))
-    else:
-        lower = 0.0
-
-    rng = np.random.default_rng(seed)
-    directions = np.abs(rng.standard_normal((num_samples, N))) * sign
-    kernel = check_kernel_cone(A, cone)
-    if not kernel.holds:
-        directions = np.vstack([directions, kernel.witness])
-    norms = np.linalg.norm(directions, axis=1)
-    directions = directions[norms > 0] / norms[norms > 0, None]
-    upper = float(np.min(np.linalg.norm(directions @ A.T, axis=1)))
-    return min(lower, upper), upper

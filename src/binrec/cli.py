@@ -85,8 +85,7 @@ def cmd_solve(args) -> int:
         b = np.loadtxt(args.measurements)
         x0 = None
     program = PROGRAM_FLAGS[args.program]
-    eta = args.eta if program == "robust_box_bp" else None
-    rep = recovery.solve(program, recovery.RecoveryProblem(A, b, eta=eta))
+    rep = recovery.solve(program, recovery.RecoveryProblem(A, b, eta=args.eta))
     if rep.x_hat is None:
         _emit(args, {"program": program, "status": rep.solver_status},
               f"{program}: {rep.solver_status}")
@@ -119,7 +118,8 @@ def cmd_check(args) -> int:
                                            sum_nonpos=args.condition == "bnsp")
         if args.condition == "newnsp":
             S = _parse_support(args.alt_support) if args.alt_support else K
-            cone = cone.intersect(analysis.ConeSpec.sign_cone(A.N, [i for i in range(A.N) if i not in S]))
+            # the sign cone of S's complement
+            cone = cone.intersect(analysis.ConeSpec(-analysis.ConeSpec.sign_cone(A.N, S).signs))
         res = analysis.check_kernel_cone(A, cone)
     payload = {"condition": args.condition, "verdict": res.verdict,
                "margin": res.margin}

@@ -1,7 +1,7 @@
 """Monte-Carlo phase-transition harness.
 
-Sweeps a (k/N, m/N) grid, runs the requested recovery programs on freshly
-drawn matrix/signal pairs, and keeps one record per (trial, program); a
+Sweeps a (k/N, m/N) grid, runs the requested recovery programs on one
+problem per freshly drawn trial, and keeps one record per (trial, program); a
 cell's success rate is counted from its records.  Every trial seeds its own
 counter-based generator from a mix of the master seed and the (cell_i,
 cell_j, trial) coordinates, so results are identical under any execution
@@ -108,11 +108,11 @@ class PhaseDiagram:
         return sum(r.success for r in cell_records if r.program == program) / cfg.trials
 
 
-def _solve_one(program, problems, tol_x0, x0_dense):
-    """Run one program on the trial's (noiseless, noisy) problems, never
-    raising; returns (success, error, status)."""
+def _solve_one(program, problem, tol_x0, x0_dense):
+    """Run one program on the trial's problem, never raising; returns
+    (success, error, status)."""
     try:
-        rep = solve(program, problems[1 if program == "robust_box_bp" else 0])
+        rep = solve(program, problem)
     except (SolverFailure, ValueError) as exc:
         return False, float("nan"), f"error:{type(exc).__name__}"
     if rep.x_hat is None:
@@ -137,33 +137,30 @@ def sweep_trial(config: ExperimentConfig, cell_i: int, cell_j: int, t: int) -> t
     return seed, A, x0, b
 
 
-def _problems(A, b, eta: float) -> tuple:
-    """The problems without and with noise level eta on one measurement
-    vector.  They share one cache of box-BP's LPs, which do not depend on
-    eta: box_bp and mibi_bp solve each LP once between them, and
-    robust_box_bp, which solves box_bp's LP when eta = 0, reuses it."""
-    plain, noisy = RecoveryProblem(A, b), RecoveryProblem(A, b, eta=eta)
-    noisy._bp_reports = plain._bp_reports
-    return plain, noisy
-
-
 def run_cell(config: ExperimentConfig, cell_i: int, cell_j: int) -> list:
-    """All trial records of one grid cell, independent of every other cell."""
+    """All trial records of one grid cell, independent of every other cell.
+
+    A trial is one ``RecoveryProblem`` with noise level ``noise_eps`` (0 when
+    unset), so its programs share box-BP's LPs.  With ``record_simultaneous``
+    the mirrored signal 1 - x0 is a second problem, measured with the
+    trial's own noise."""
     eta = config.noise_eps if config.noise_eps is not None else 0.0
     ens = config.ensemble
     records = []
     for t in range(config.trials):
         seed, A, x0, b = sweep_trial(config, cell_i, cell_j, t)
         x0d = x0.dense()
-        problems = _problems(A, b, eta)
+        problem = RecoveryProblem(A, b, eta=eta)
         if config.record_simultaneous:
-            mirror_problems = _problems(A, A.entries @ (1.0 - x0d), eta)
+            b_mirror = A.entries @ (1.0 - x0d)
+            if config.noise_eps:
+                b_mirror += b - A.entries @ x0d
+            mirror = RecoveryProblem(A, b_mirror, eta=eta)
         for program in config.programs:
-            ok, err, status = _solve_one(program, problems, config.success_tol, x0d)
+            ok, err, status = _solve_one(program, problem, config.success_tol, x0d)
             both = neither = None
             if config.record_simultaneous:
-                ok2, _, _ = _solve_one(program, mirror_problems,
-                                       config.success_tol, 1.0 - x0d)
+                ok2, _, _ = _solve_one(program, mirror, config.success_tol, 1.0 - x0d)
                 both = ok and ok2
                 neither = not ok and not ok2
             records.append(TrialRecord(config.N, A.m, x0.k, t, program, ens.kind, ens.mu,

@@ -36,8 +36,10 @@ ROBUST_BALL_TOL = 1e-9
 
 @dataclass
 class RecoveryProblem:
-    """One instance.  Treat it as immutable: the box-BP LPs solved on it are
-    kept, so that every program run on the same problem solves each LP once."""
+    """One instance: A, b and the noise level eta of b, which only
+    robust_box_bp reads; every other program ignores it.  Treat it as
+    immutable: the box-BP LPs solved on it are kept, so that every program
+    run on the same problem solves each LP once."""
 
     A: DenseMatrix
     b: np.ndarray
@@ -88,15 +90,11 @@ def _solve_bp_lp(p: RecoveryProblem, mirror: bool) -> RecoveryReport:
 
 def box_bp(p: RecoveryProblem) -> RecoveryReport:
     """min ||x||_1  s.t.  Ax = b, x in [0,1]^N."""
-    if p.eta is not None:
-        raise ValueError("box_bp is noiseless; use robust_box_bp for eta > 0")
     return _bp_lp(p, mirror=False)
 
 
 def box_bp_mirror(p: RecoveryProblem) -> RecoveryReport:
     """min ||1-x||_1  s.t.  Ax = b, x in [0,1]^N."""
-    if p.eta is not None:
-        raise ValueError("box_bp_mirror is noiseless; use robust_box_bp for eta > 0")
     return _bp_lp(p, mirror=True)
 
 
@@ -116,8 +114,6 @@ def mibi_bp(p: RecoveryProblem) -> RecoveryReport:
     The mirror branch wins only by more than MIBI_TIE_TOL, so it cannot win
     against a plain point within MIBI_TIE_TOL of its rounding; the mirror LP
     is solved only when the plain point is farther than that, or missing."""
-    if p.eta is not None:
-        raise ValueError("mibi_bp is noiseless")
 
     def gap(r):
         return np.inf if r.x_hat is None else float(np.linalg.norm(round_to_binary(r.x_hat) - r.x_hat))

@@ -138,20 +138,16 @@ def cert_failure_prob(p: TheoryParams, variant: str = "combined") -> float:
     m, k, N = p.m, p.k, p.N
     mu2, s4, lam = p.mu ** 2, p.sigma ** 4, p.lambda_bound
     lam2, lam4 = lam ** 2, lam ** 4
-    if variant == "combined":
-        val = N * (math.exp(-m * mu2 / (32.0 * lam2))
-                   + math.exp(-m * s4 / (2048.0 * k * lam4))
-                   + math.exp(-m * m * s4 / (2048.0 * k * lam4)))
-    elif variant == "off_support":
-        val = (N - k) * (math.exp(-m * mu2 / (32.0 * lam2))
-                         + math.exp(-m * s4 / (2048.0 * k * lam4))
-                         + math.exp(-m * m * s4 / (2048.0 * k * lam4)))
-    elif variant == "on_support":
-        val = k * (math.exp(-m * mu2 / (2.0 * lam2))
-                   + math.exp(-m * s4 / (128.0 * k * lam4))
-                   + math.exp(-m * m * s4 / (128.0 * k * lam4)))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    # (union-bound count, mean-term constant, fluctuation-term constant)
+    try:
+        count, c_mu, c_s = {"combined": (N, 32.0, 2048.0),
+                            "off_support": (N - k, 32.0, 2048.0),
+                            "on_support": (k, 2.0, 128.0)}[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}") from None
+    val = count * (math.exp(-m * mu2 / (c_mu * lam2))
+                   + math.exp(-m * s4 / (c_s * k * lam4))
+                   + math.exp(-m * m * s4 / (c_s * k * lam4)))
     return min(1.0, max(0.0, val))
 
 

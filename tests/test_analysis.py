@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from binrec.analysis import (ConeSpec, build_dual_certificate,
                              certificate_threshold, check_hkplus_dual,
-                             check_kernel_cone, restricted_sv_bounds,
-                             verify_certificate)
+                             check_kernel_cone, verify_certificate)
 from binrec.recovery import RecoveryProblem, box_bp, recovery_success
 
 
@@ -52,8 +50,6 @@ def test_supports_outside_the_columns_are_rejected(K):
         check_hkplus_dual(A, K)
     with pytest.raises(ValueError):
         verify_certificate(A, np.ones(2), K, 0.5)
-    with pytest.raises(ValueError):
-        restricted_sv_bounds(A, K, num_samples=4)
 
 
 def test_kernel_cone_invertible_matrix_holds():
@@ -223,35 +219,3 @@ def test_certificate_threshold_table():
     with pytest.raises(ValueError):
         certificate_threshold(10, 1.0, "guess")
 
-
-def test_restricted_sv_identity_brackets_one():
-    lower, upper = restricted_sv_bounds(np.eye(5), [0, 2], num_samples=100, seed=1)
-    assert lower <= 1.0 + 1e-9
-    assert upper == pytest.approx(1.0, abs=1e-9)
-    assert lower > 0
-
-
-def test_restricted_sv_kernel_element_collapses_upper():
-    # (-1, 1) lies in ker([1 1]) and in the cone of K = {0}
-    lower, upper = restricted_sv_bounds(np.array([[1.0, 1.0]]), [0],
-                                        num_samples=50, seed=2)
-    assert lower == 0.0
-    assert upper <= 1e-9
-
-
-def test_restricted_sv_homogeneity():
-    rng = np.random.default_rng(8)
-    A = rng.standard_normal((6, 10))
-    l1, u1 = restricted_sv_bounds(A, [1, 4], num_samples=64, seed=5)
-    l2, u2 = restricted_sv_bounds(2.0 * A, [1, 4], num_samples=64, seed=5)
-    assert l2 == pytest.approx(2.0 * l1, rel=1e-9)
-    assert u2 == pytest.approx(2.0 * u1, rel=1e-9)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10**6))
-def test_restricted_sv_lower_below_upper(seed):
-    rng = np.random.default_rng(seed)
-    A, K = _random_AK(rng, max_m=5, max_N=7, kinds=("gaussian",))
-    lower, upper = restricted_sv_bounds(A, K, num_samples=30, seed=seed)
-    assert 0 <= lower <= upper + 1e-12

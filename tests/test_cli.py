@@ -58,6 +58,14 @@ def test_check_newnsp_without_alt_support_holds(capsys, tmp_path):
     assert out.strip() == "newnsp: holds"
 
 
+def test_check_newnsp_rejects_alt_support_outside_the_columns(capsys, tmp_path):
+    path = tmp_path / "A.txt"
+    path.write_text("2 4\n1 2 0 1\n1 1 1 1\n")
+    code, _ = run_cli(capsys, "check", "--condition", "newnsp", "--matrix", str(path),
+                      "--support", "0,3", "--alt-support", "0,150")
+    assert code == 1
+
+
 def test_gen_and_solve_matches_library(capsys, tmp_path):
     mat = str(tmp_path / "A.txt")
     sig = str(tmp_path / "x.txt")

@@ -98,6 +98,31 @@ def test_simultaneous_counts_bounded():
         assert r.both <= r.success and r.neither <= (not r.success)
 
 
+def test_simultaneous_mirror_carries_the_trials_noise(monkeypatch):
+    # 1 - x0 is measured with the same noise as x0, so both and neither
+    # compare two solves of equal noise
+    import binrec.experiments
+    eps = 0.1
+    cfg = _small_config(record_simultaneous=True, noise_eps=eps, trials=2)
+    problems = []
+    solve = binrec.experiments.solve
+
+    def recorded(program, p):
+        problems.append(p)
+        return solve(program, p)
+
+    monkeypatch.setattr(binrec.experiments, "solve", recorded)
+    run_cell(cfg, 0, 0)
+    assert len(problems) == 2 * cfg.trials
+    for t in range(cfg.trials):
+        _, A, x0, b = sweep_trial(cfg, 0, 0, t)
+        trial, mirror = problems[2 * t:2 * t + 2]
+        noise = mirror.b - A.entries @ (1.0 - x0.dense())
+        assert np.linalg.norm(noise) == pytest.approx(eps, rel=1e-9)
+        assert np.allclose(noise, b - A.entries @ x0.dense(), rtol=0, atol=1e-12)
+        assert np.array_equal(trial.b, b) and trial.eta == mirror.eta == eps
+
+
 def test_csv_header_and_roundtrip(tmp_path):
     cfg = _small_config(record_simultaneous=True)
     d = run_phase_transition(cfg)

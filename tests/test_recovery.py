@@ -45,9 +45,16 @@ def test_box_bp_infeasible_status_not_exception():
     assert rep.x_hat is None
 
 
-def test_box_bp_rejects_eta():
-    with pytest.raises(ValueError):
-        box_bp(RecoveryProblem(np.eye(2), np.zeros(2), eta=0.1))
+def test_noiseless_programs_ignore_eta():
+    # eta is the instance's noise level, read by robust_box_bp alone
+    rng = np.random.default_rng(4)
+    A, x0 = _random_instance(rng, 4, 8, 3)
+    b = A @ x0 + 0.01
+    for program in (box_bp, box_bp_mirror, mibi_bp):
+        plain = program(RecoveryProblem(A, b))
+        noisy = program(RecoveryProblem(A, b, eta=0.1))
+        assert noisy.solver_status == plain.solver_status == "optimal", program.__name__
+        assert np.array_equal(noisy.x_hat, plain.x_hat), program.__name__
 
 
 def test_mirror_all_ones_signal():
