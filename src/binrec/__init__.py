@@ -1,6 +1,6 @@
 """Recovery of sparse and saturated binary signals from biased random
 linear measurements: box-constrained basis pursuit and least squares,
-LP-checkable recovery conditions, dual certificates, closed-form theory
+kernel-cone recovery conditions, dual certificates, closed-form theory
 calculators, and a phase-transition experiment harness."""
 
 from .ensembles import BinarySignal, DenseMatrix, EnsembleConfig, gen_matrix, gen_sparse_binary

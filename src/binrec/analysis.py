@@ -1,8 +1,11 @@
-"""LP-checkable geometric recovery conditions and explicit dual certificates.
+"""Geometric recovery conditions and explicit dual certificates.
 
-The sign-pattern cones are scale-invariant, so strict inequalities and
-nontriviality are encoded with unit margins / unit normalizations, which
-turns every condition into a plain LP feasibility problem.
+Every condition asks whether ker(A) meets a sign-pattern cone in a nonzero
+point.  The cones are scale-invariant, so nontriviality is a unit
+normalization and strictness a unit margin, and Gordan's alternative turns
+the question into one nonnegative least-squares problem: its solution gives
+either a normalized cone element of the kernel or a dual vector that
+separates the cone from it, and each verdict is checked against that object.
 """
 
 from __future__ import annotations
@@ -10,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .ensembles import DenseMatrix
-from .optim import LpProblem, lp_feasible
+from .optim import TOL_FEAS, SolverFailure
 
 
 @dataclass
@@ -66,30 +70,74 @@ def _entries(A) -> np.ndarray:
     return A.entries if isinstance(A, DenseMatrix) else np.asarray(A, dtype=float)
 
 
+def _gordan(A: np.ndarray, cone: ConeSpec):
+    """Which side of Gordan's alternative holds for ker(A) and a cone with
+    some nonzero sign, with the object that shows it: ("fails", w), a cone
+    element with Aw = 0 and sum|w| = 1 to TOL_FEAS per row, or ("holds",
+    y), the m kernel-row entries of a separating vector; without the sum
+    row, s_i (A^T y)_i <= -1/2 wherever s_i != 0.
+
+    With P the cone's nonzero signs, S = diag(s_P) and u = (v >= 0, plus a
+    slack t >= 0 with the sum row), the cone elements w = S v in ker(A) with
+    sum|w| = 1 solve Bu = e, where B = [[A_P S, 0], [s_P^T, 1], [1^T, 0]]
+    (the middle row only with the sum row) and e is the last unit vector.
+    One NNLS solve of min ||Bu - e|| decides (Lawson and Hanson, "Solving
+    Least Squares Problems", ch. 23): its residual r = e - Bu* is 0 exactly
+    when a solution exists, and otherwise satisfies B^T r <= 0 with
+    r[-1] = ||r||^2 > 0, so y = r[:-1]/r[-1] has every v-column of
+    B[:-1]^T y at most -1 and, with the sum row, a slack entry y_sum <= 0.
+    Then for any cone element in ker(A), (1/2 - y_sum) sum(v) <= 0, so
+    v = 0.  Both objects are checked after the solve, the holds bounds at
+    -1/2 and y_sum < 1/2; when neither passes, or NNLS hits its iteration
+    cap of ten times the column count, SolverFailure is raised.
+    """
+    P = np.flatnonzero(cone.signs)
+    s = cone.signs[P]
+    m, n, extra = A.shape[0], P.size, int(cone.sum_nonpos)
+    B = np.zeros((m + extra + 1, n + extra))
+    B[:m, :n] = A[:, P] * s
+    if extra:
+        B[m, :n] = s
+        B[m, n] = 1.0
+    B[-1, :n] = 1.0
+    e = np.zeros(B.shape[0])
+    e[-1] = 1.0
+    try:
+        u, _ = nnls(B, e, maxiter=10 * B.shape[1])
+    except RuntimeError as exc:
+        raise SolverFailure(f"NNLS: {exc}") from exc
+    # the witness must lie in the cone whatever the solver returned
+    u = np.maximum(u, 0.0)
+    r = e - B @ u
+    if np.max(np.abs(r)) <= TOL_FEAS:
+        w = np.zeros(cone.N)
+        w[P] = s * u[:n]
+        return "fails", w
+    if r[-1] > 0:
+        y = r[:-1] / r[-1]
+        if np.all(B[:-1, :n].T @ y <= -0.5) and (not extra or y[m] < 0.5):
+            return "holds", y[:m]
+    raise SolverFailure("NNLS: neither side of Gordan's alternative verified")
+
+
 def check_kernel_cone(A, cone: ConeSpec) -> CertificateResult:
     """Is ker(A) intersected with the cone trivial?
 
-    Feasibility LP for a nonzero cone element: Aw = 0, the sign constraints,
-    optionally sum(w) <= 0, and the normalization s.w = 1 with s the cone's
-    signs, which on the cone is the sum of |w_i| (valid by scale
-    invariance).  Verdict "fails" iff such a w exists; the {0} cone, with
-    no nonzero sign, holds.
+    Verdict "fails" iff a nonzero cone element w has Aw = 0 (and sum(w) <= 0
+    with the sum row); its witness is normalized to sum|w| = 1, and its
+    margin is ||Aw||.  Decided by one NNLS solve of Gordan's alternative
+    (``_gordan``), whose verdict is backed by a checked object either way
+    and which raises SolverFailure otherwise.  The {0} cone, with no nonzero
+    sign, holds.
     """
     A = _entries(A)
-    m, N = A.shape
+    N = A.shape[1]
     if cone.N != N:
         raise ValueError(f"cone dimension {cone.N} != matrix columns {N}")
-    s = cone.signs
-    if not s.any():
+    if not cone.signs.any():
         return CertificateResult("holds")
-    b_eq = np.zeros(m + 1)
-    b_eq[-1] = 1.0
-    A_ineq = np.ones((1, N)) if cone.sum_nonpos else None
-    b_ineq = np.zeros(1) if cone.sum_nonpos else None
-    feasible, w = lp_feasible(LpProblem(c=np.zeros(N), A_eq=np.vstack([A, s]), b_eq=b_eq,
-                                        A_ineq=A_ineq, b_ineq=b_ineq,
-                                        lower=np.minimum(s, 0.0), upper=np.maximum(s, 0.0)))
-    if feasible:
+    verdict, w = _gordan(A, cone)
+    if verdict == "fails":
         return CertificateResult("fails", witness=w, margin=float(np.linalg.norm(A @ w)))
     return CertificateResult("holds")
 
@@ -97,19 +145,19 @@ def check_kernel_cone(A, cone: ConeSpec) -> CertificateResult:
 def check_hkplus_dual(A, K) -> CertificateResult:
     """Does some v satisfy (A^T v)_i < 0 on K and > 0 off K?
 
-    Strictness is encoded as a unit margin, valid because the open cone is
-    scale-invariant.  Equivalent to check_kernel_cone on the sign cone of K.
+    The same alternative as check_kernel_cone on the sign cone of K: its
+    holds side is such a v, returned scaled to the unit margin
+    min_i s_i (A^T v)_i = 1 (s the sign, -1 on K), and ``margin`` is
+    min_i |(A^T v)_i|.
     """
     A = _entries(A)
-    m, N = A.shape
-    sign = ConeSpec.sign_cone(N, K).signs
-    # rows: -sign_i * (A^T v)_i <= -1
-    G = -(A * sign).T
-    feasible, v = lp_feasible(LpProblem(c=np.zeros(m), A_ineq=G, b_ineq=-np.ones(N)))
-    if not feasible:
+    cone = ConeSpec.sign_cone(A.shape[1], K)
+    verdict, y = _gordan(A, cone)
+    if verdict == "fails":
         return CertificateResult("fails", witness=None, margin=0.0)
-    margin = float(np.min(np.abs(A.T @ v)))
-    return CertificateResult("holds", witness=v, margin=margin)
+    v = -y
+    v /= np.min(cone.signs * (A.T @ v))
+    return CertificateResult("holds", witness=v, margin=float(np.min(np.abs(A.T @ v))))
 
 
 def certificate_offset(mu: float, sigma: float) -> float:

@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the solution vector here")
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("check", help="LP-checkable recovery conditions")
+    p = sub.add_parser("check", help="kernel-cone recovery conditions")
     p.add_argument("--condition", choices=("kernel-hk", "bnsp", "hkplus", "newnsp"),
                    required=True)
     p.add_argument("--matrix", required=True)

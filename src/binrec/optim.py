@@ -12,8 +12,10 @@ never polished; no library code calls it, and the acceptance tests use it
 as a multi-start uniqueness probe.  Both report convergence by the same
 fixed-point test, and ``box_ls_point`` applies that test to a given point
 with no solver run: ``recovery.box_ls`` uses it on box-BP's rounded point,
-which it returns when a kernel-cone LP proves that point the unique
-minimizer.
+which it returns when ``analysis.check_kernel_cone`` proves that point the
+unique minimizer.  ``lp_feasible`` has no library caller since that check
+left HiGHS for NNLS; it stays for the benchmark tracer's phase-1 probe and
+the tests' kernel-cone oracle.
 
 BVLS is an active-set method and lands on a vertex of the box when the
 least-squares solution set is not a single point, which would make box_ls
@@ -32,13 +34,15 @@ import numpy as np
 from scipy.optimize import Bounds, linprog, lsq_linear, minimize
 
 # HiGHS's primal feasibility tolerance: how far a returned point may leave a
-# constraint row before clipping into its bounds
+# constraint row before clipping into its bounds; the kernel-cone check
+# accepts an NNLS witness to the same row tolerance
 TOL_FEAS = 1e-9
 
 
 class SolverFailure(RuntimeError):
-    """The LP solver stopped without a verdict (iteration limit, numerical
-    trouble).
+    """A solver stopped without a verdict: HiGHS on an LP, or the NNLS
+    solve behind ``analysis.check_kernel_cone`` (iteration limit, numerical
+    trouble, an answer that fails its post-solve check).
 
     Deliberately distinct from an infeasible/unbounded verdict, which is a
     property of the problem and reported through LpSolution.status.

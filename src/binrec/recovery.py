@@ -8,7 +8,8 @@ Under the paper's condition box-LS has box-BP's solution, the only point of
 {Ax = b} in the box.  So on a wide A (m < N), ``box_ls`` returns box-BP's
 rounded point when it passes box-LS's fixed-point test and
 ``analysis.check_kernel_cone`` proves it the unique minimizer, and runs the
-least-squares solver only otherwise; with m >= N the solver is direct.
+least-squares solver only otherwise; with m >= N or a noisy b the solver
+is direct.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ ROBUST_BALL_TOL = 1e-9
 
 @dataclass
 class RecoveryProblem:
-    """One instance: A, b and the noise level eta of b, which only
-    robust_box_bp reads; every other program ignores it.  Treat it as
+    """One instance: A, b and the noise level eta of b.  robust_box_bp
+    takes eta as its ball's radius and box_ls skips its certified shortcut
+    when eta > 0; the basis-pursuit programs ignore it.  Treat it as
     immutable: the box-BP LPs solved on it are kept, so that every program
     run on the same problem solves each LP once."""
 
@@ -134,23 +136,25 @@ def box_ls(p: RecoveryProblem) -> RecoveryReport:
     default tolerance and iteration cap, unless box-BP's point certifies the
     answer first.
 
-    When A is wide (m < N), box-BP's LP point (the problem's cached one) is
-    rounded to a binary x.  If x passes ``solve_box_ls``'s fixed-point test
-    at its default tolerance, it is a minimizer.  If moreover ker(A) meets
-    the cone of the box's feasible directions at the vertex x trivially
+    When A is wide (m < N) and b is noiseless (``p.eta`` None or 0),
+    box-BP's LP point (the problem's cached one) is rounded to a binary x.
+    If x passes ``solve_box_ls``'s fixed-point test at its default
+    tolerance, it is a minimizer.  If moreover ker(A) meets the cone of the
+    box's feasible directions at the vertex x trivially
     (``check_kernel_cone`` on the sign cone of x's support), then x is the
     only point z of the box with Az = Ax.  Every minimizer has the same Az,
     since the objective is strictly convex in Az, so x is the unique
-    minimizer and is returned as ``converged``.  Otherwise, or when an LP
-    stops without a verdict, ``solve_box_ls`` runs.  With m >= N the
-    shortcut is not tried: the solver runs BVLS directly on a full-rank A,
-    and a noisy tall b would only pay for an infeasible LP.  On a problem
-    where box-BP's LP has not run, the shortcut solves it, which on noisy b
-    is most often an infeasible LP spent for nothing.
+    minimizer and is returned as ``converged``.  Otherwise, or when a solver
+    stops without a verdict, ``solve_box_ls`` runs.  The shortcut is not
+    tried with m >= N, where the solver runs BVLS directly on a full-rank A,
+    nor on noisy b (``p.eta`` > 0), where Ax = b almost never has a point in
+    the box and box-BP's LP would be infeasible or, rounded, no minimizer.
+    On a noiseless problem where box-BP's LP has not run, the shortcut
+    solves it.
     """
     A = p.A.entries
     m, N = A.shape
-    if m < N:
+    if m < N and not p.eta:
         try:
             bp = _bp_lp(p, mirror=False)
             if bp.x_hat is not None:

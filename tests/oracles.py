@@ -4,7 +4,8 @@ The LP oracle enumerates basic solutions directly (choose basic columns,
 pin every nonbasic variable at one of its bounds, solve the square system)
 and therefore shares no code path with the LP solver.  The KKT oracles
 judge a returned point by the optimality conditions alone, so they apply at
-sizes enumeration cannot reach.
+sizes enumeration cannot reach.  The kernel-cone oracle poses the
+library's NNLS-decided question as the feasibility LP it once was.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from binrec.optim import LpProblem, lp_feasible
 
 FEAS_TOL = 1e-8
 
@@ -165,3 +168,23 @@ def robust_kkt_violations(A, b, eta, x, bound_tol=1e-9):
         "sign": float(np.max(np.concatenate([-g[at_lo], g[at_hi], [0.0]]))),
         "slackness": mu * abs(eta - norm_r),
     }
+
+
+def lp_kernel_cone_fails(A, signs, sum_nonpos=False):
+    """Does ker(A) meet the cone of ``signs`` (plus sum(w) <= 0 when
+    ``sum_nonpos``) in a nonzero point?  Decided by HiGHS on the feasibility
+    LP Aw = 0, s.w = 1, the sign bounds and the optional sum row; s.w is
+    sum|w| on the cone, so the normalization excludes only w = 0."""
+    A = np.asarray(A, dtype=float)
+    s = np.asarray(signs, dtype=float)
+    m, N = A.shape
+    if not s.any():
+        return False
+    b_eq = np.zeros(m + 1)
+    b_eq[-1] = 1.0
+    feasible, _ = lp_feasible(LpProblem(
+        c=np.zeros(N), A_eq=np.vstack([A, s]), b_eq=b_eq,
+        A_ineq=np.ones((1, N)) if sum_nonpos else None,
+        b_ineq=np.zeros(1) if sum_nonpos else None,
+        lower=np.minimum(s, 0.0), upper=np.maximum(s, 0.0)))
+    return feasible

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import binrec.analysis
 from binrec.analysis import (ConeSpec, build_dual_certificate,
                              certificate_threshold, check_hkplus_dual,
                              check_kernel_cone, verify_certificate)
+from binrec.optim import TOL_FEAS, SolverFailure
 from binrec.recovery import RecoveryProblem, box_bp, recovery_success
+from oracles import lp_kernel_cone_fails
 
 
 def _random_AK(rng, max_m=8, max_N=12, kinds=("gaussian", "bernoulli")):
@@ -16,6 +19,23 @@ def _random_AK(rng, max_m=8, max_N=12, kinds=("gaussian", "bernoulli")):
         A = rng.integers(0, 2, size=(m, N)).astype(float)
     K = np.sort(rng.permutation(N)[: int(rng.integers(0, N + 1))])
     return A, K
+
+
+def _random_cone_instance(rng, max_m=20, max_N=40):
+    """A matrix from one of five ensembles: Gaussian, 0/1, {0, 2},
+    1 + Gaussian and integers in [-2, 2], the integer ones degenerate; a
+    random cone, a third of them with zero signs, half with the sum row."""
+    m = int(rng.integers(1, max_m + 1))
+    N = int(rng.integers(2, max_N + 1))
+    A = [lambda: rng.standard_normal((m, N)),
+         lambda: rng.integers(0, 2, (m, N)).astype(float),
+         lambda: 2.0 * rng.integers(0, 2, (m, N)),
+         lambda: 1.0 + rng.standard_normal((m, N)),
+         lambda: rng.integers(-2, 3, (m, N)).astype(float)][rng.integers(5)]()
+    signs = rng.choice([-1.0, 1.0], N)
+    if rng.random() < 1 / 3:
+        signs[rng.random(N) < rng.random()] = 0.0
+    return A, ConeSpec(signs, sum_nonpos=bool(rng.integers(2)))
 
 
 def test_cone_spec_construction_and_intersection():
@@ -86,6 +106,64 @@ def test_kernel_cone_witness_satisfies_constraints():
     assert seen >= 10
 
 
+def test_kernel_cone_agrees_with_the_lp_oracle():
+    # every verdict matches the feasibility LP's, and every "fails" witness
+    # lies in the cone and in ker(A) to the row tolerance, with sum|w| = 1
+    rng = np.random.default_rng(8)
+    verdicts = {"holds": 0, "fails": 0}
+    for _ in range(300):
+        A, cone = _random_cone_instance(rng)
+        res = check_kernel_cone(A, cone)
+        expected = "fails" if lp_kernel_cone_fails(A, cone.signs, cone.sum_nonpos) else "holds"
+        assert res.verdict == expected
+        verdicts[res.verdict] += 1
+        if res.holds:
+            assert res.witness is None
+            continue
+        w, s = res.witness, cone.signs
+        assert np.all(w * s >= 0) and np.all(w[s == 0] == 0)
+        assert not cone.sum_nonpos or np.sum(w) <= TOL_FEAS
+        assert np.max(np.abs(A @ w)) <= TOL_FEAS
+        assert np.sum(np.abs(w)) == pytest.approx(1.0, abs=TOL_FEAS)
+        assert res.margin == np.linalg.norm(A @ w)
+    assert min(verdicts.values()) >= 50, verdicts
+
+
+def _returning(u):
+    def fake_nnls(B, e, *, maxiter):
+        return np.asarray(u, dtype=float), 0.0
+    return fake_nnls
+
+
+def _raising(B, e, *, maxiter):
+    raise RuntimeError("Maximum number of iterations reached.")
+
+
+@pytest.mark.parametrize("A, cone, nnls", [
+    # no answer at all
+    ([[1.0, 1.0]], ConeSpec.sign_cone(2, [0]), _raising),
+    # u = 0: neither a solution nor a separating y (every v-column at 0)
+    ([[1.0, 1.0]], ConeSpec.sign_cone(2, [0]), _returning([0.0, 0.0])),
+    # every v-column at -1, but the slack entry y_sum = 1 > 0
+    ([[1.0, -1.0]], ConeSpec([-1.0, -1.0], sum_nonpos=True), _returning([0.25, 0.25, 0.0])),
+    # the solution (1/2, 1/2) scaled off the normalization row by 1e-6
+    ([[1.0, 1.0]], ConeSpec.sign_cone(2, [0]), _returning([0.5 + 5e-7, 0.5 + 5e-7])),
+    # Bu = e exactly, but u = (2, -1) is no cone element: ker(A) misses the
+    # nonnegative orthant here
+    ([[1.0, 2.0]], ConeSpec.sign_cone(2, []), _returning([2.0, -1.0])),
+], ids=["raises", "zero", "slack", "off-row", "negative"])
+def test_unverified_nnls_answers_are_solver_failures(monkeypatch, A, cone, nnls):
+    # a verdict stands only on an object checked after the solve; each fake
+    # answer, taken at face value, would give a wrong verdict or none
+    A = np.array(A)
+    monkeypatch.setattr(binrec.analysis, "nnls", nnls)
+    with pytest.raises(SolverFailure):
+        check_kernel_cone(A, cone)
+    if not cone.sum_nonpos:
+        with pytest.raises(SolverFailure):
+            check_hkplus_dual(A, np.flatnonzero(cone.signs < 0))
+
+
 def test_kernel_cone_K_complement_symmetry():
     rng = np.random.default_rng(2)
     for _ in range(100):
@@ -107,9 +185,15 @@ def test_hkplus_agrees_with_kernel_cone():
     rng = np.random.default_rng(3)
     for _ in range(200):
         A, K = _random_AK(rng, max_m=6, max_N=10)
-        kernel = check_kernel_cone(A, ConeSpec.sign_cone(A.shape[1], K)).verdict
-        dual = check_hkplus_dual(A, K).verdict
-        assert kernel == dual
+        cone = ConeSpec.sign_cone(A.shape[1], K)
+        dual = check_hkplus_dual(A, K)
+        assert dual.verdict == check_kernel_cone(A, cone).verdict
+        if dual.holds:
+            # the LP's unit margin: s_i (A^T v)_i >= 1 with equality somewhere
+            assert np.min(cone.signs * (A.T @ dual.witness)) == pytest.approx(1.0, rel=1e-12)
+            assert dual.margin == pytest.approx(1.0, rel=1e-12)
+        else:
+            assert dual.witness is None and dual.margin == 0.0
 
 
 def test_bnsp_iff_unique_box_bp_recovery():

@@ -364,6 +364,12 @@ def test_box_ls_noisy_wide_trial_runs_the_solver(monkeypatch, cell):
     assert len(calls) == 1
     assert rep.solver_status == ref.status
     assert np.array_equal(rep.x_hat, ref.x)
+    # told the noise level, box_ls skips the shortcut and box-BP's LP
+    p = RecoveryProblem(A, b, eta=cfg.noise_eps)
+    rep = box_ls(p)
+    assert len(calls) == 2 and not p._bp_reports
+    assert rep.solver_status == ref.status
+    assert np.array_equal(rep.x_hat, ref.x)
 
 
 def test_box_ls_runs_the_solver_when_the_lp_fails(monkeypatch):
@@ -376,6 +382,24 @@ def test_box_ls_runs_the_solver_when_the_lp_fails(monkeypatch):
     monkeypatch.setattr(binrec.recovery, "solve_lp", no_verdict)
     calls = _counting_solve_box_ls(monkeypatch)
     _, A, _, b = sweep_trial(_desk_sweep_config(1), 0, 2, 0)
+    rep = box_ls(RecoveryProblem(A, b))
+    assert len(calls) == 1
+    assert np.array_equal(rep.x_hat, solve_box_ls(A.entries, b).x)
+
+
+def test_box_ls_runs_the_solver_when_the_cone_check_fails(monkeypatch):
+    # a kernel-cone check without a verdict certifies nothing either
+    import binrec.analysis
+
+    def no_verdict(B, e, *, maxiter):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    calls = _counting_solve_box_ls(monkeypatch)
+    _, A, x0, b = sweep_trial(_desk_sweep_config(1), 0, 2, 0)
+    assert box_ls(RecoveryProblem(A, b)).solver_status == "converged" and not calls
+    monkeypatch.setattr(binrec.analysis, "nnls", no_verdict)
+    with pytest.raises(SolverFailure):
+        check_kernel_cone(A, ConeSpec.sign_cone(A.N, x0.support))
     rep = box_ls(RecoveryProblem(A, b))
     assert len(calls) == 1
     assert np.array_equal(rep.x_hat, solve_box_ls(A.entries, b).x)
