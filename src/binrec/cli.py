@@ -180,25 +180,13 @@ def cmd_theory(args) -> int:
     return EXIT_OK
 
 
-def _phase_config(args) -> experiments.ExperimentConfig:
-    if args.preset == "paper-scale":
-        return experiments.paper_scale_config(master_seed=args.master_seed)
-    step = args.grid_step
-    grid = [round(step * i, 10) for i in range(1, int(round(1.0 / step)) + 1)]
-    if args.kind == "biased":
-        ens = EnsembleConfig(kind="biased", m=1, N=1, mu=args.mu, sigma=args.sigma,
-                             lambda_bound=args.lambda_bound, base_dist=args.base_dist)
-    else:
-        ens = EnsembleConfig(kind=args.kind, m=1, N=1)
-    return experiments.ExperimentConfig(
-        N=args.N, k_fractions=grid, m_fractions=grid, trials=args.trials,
-        ensemble=ens, programs=tuple(args.programs.split(",")),
-        success_tol=args.success_tol, master_seed=args.master_seed,
-        record_simultaneous=args.record_simultaneous, noise_eps=args.noise_eps)
-
-
 def cmd_phase(args) -> int:
-    cfg = _phase_config(args)
+    cfg = experiments.grid_config(
+        args.N, args.grid_step, trials=args.trials, kind=args.kind, mu=args.mu,
+        sigma=args.sigma, lambda_bound=args.lambda_bound, base_dist=args.base_dist,
+        programs=tuple(args.programs.split(",")), success_tol=args.success_tol,
+        master_seed=args.master_seed, record_simultaneous=args.record_simultaneous,
+        noise_eps=args.noise_eps)
     cells = len(cfg.k_fractions) * len(cfg.m_fractions)
     plan = {"N": cfg.N, "grid": f"{len(cfg.k_fractions)}x{len(cfg.m_fractions)}",
             "trials": cfg.trials, "programs": list(cfg.programs),
@@ -309,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_theory)
 
     p = sub.add_parser("phase", help="phase-transition sweep with CSV/SVG output")
-    p.add_argument("--preset", choices=("paper-scale",), default=None)
     p.add_argument("--N", type=int, default=100)
     p.add_argument("--grid-step", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=25)

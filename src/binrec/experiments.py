@@ -21,7 +21,8 @@ import numpy as np
 from .ensembles import (EnsembleConfig, _thread_cap, gen_matrix, gen_noise,
                         gen_sparse_binary)
 from .optim import SolverFailure
-from .recovery import RecoveryProblem, recovery_success, solve
+from .recovery import (DEFAULT_SUCCESS_TOL, RecoveryProblem, recovery_success,
+                       solve)
 
 HARNESS_PROGRAMS = ("box_bp", "mibi_bp", "box_ls", "robust_box_bp")
 
@@ -52,7 +53,7 @@ class ExperimentConfig:
     trials: int
     ensemble: EnsembleConfig
     programs: tuple = ("box_bp",)
-    success_tol: float = 1e-4
+    success_tol: float = DEFAULT_SUCCESS_TOL
     master_seed: int = 0
     record_simultaneous: bool = False
     noise_eps: float | None = None
@@ -61,6 +62,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("need at least one trial per cell")
         for fr in (self.k_fractions, self.m_fractions):
+            if not fr:
+                raise ValueError("grid fractions must not be empty")
             if any(not 0 < f <= 1 for f in fr):
                 raise ValueError("grid fractions must lie in (0, 1]")
             if any(b <= a for a, b in zip(fr, fr[1:])):
@@ -306,28 +309,33 @@ def render_heatmap(diagram: PhaseDiagram, program: str, path: str,
         raise OSError(f"writing heatmap SVG to {path!r}: {exc}") from exc
 
 
-# --- presets --------------------------------------------------------------
+# --- sweep configs --------------------------------------------------------
 
-def paper_scale_config(master_seed: int = 0) -> ExperimentConfig:
-    """The full protocol: N=500, 0.01-spaced fractions, 25 trials per cell,
-    unnormalized biased Rademacher matrices (entries in {0, 2}).  Expect a
-    multi-hour run; CI uses desk_scale_config instead."""
-    grid = [i / 100.0 for i in range(1, 101)]
-    ens = EnsembleConfig(kind="biased", m=1, N=1, mu=1.0, sigma=1.0,
-                         lambda_bound=1.0, base_dist="rademacher_scaled")
-    return ExperimentConfig(N=500, k_fractions=grid, m_fractions=grid, trials=25,
-                            ensemble=ens, programs=("box_bp",),
-                            master_seed=master_seed)
+def grid_config(N: int, grid_step: float, *, trials: int = 25, kind: str = "biased",
+                mu: float = 1.0, sigma: float = 1.0, lambda_bound: float = 1.0,
+                base_dist: str = "rademacher_scaled", **options) -> ExperimentConfig:
+    """The sweep at signal length N over the fractions grid_step, 2 grid_step,
+    ..., 1 on both axes, with ``trials`` trials per cell.  The ensemble
+    parameters apply to the biased kind; every other kind draws with its own
+    defaults.  ``options`` are the remaining ``ExperimentConfig`` fields.
+
+    The paper's protocol is ``grid_config(500, 0.01)``, i.e.
+    ``binrec phase --N 500 --grid-step 0.01``: unnormalized biased Rademacher
+    matrices (entries in {0, 2}), 25 trials on a 100x100 grid.  Expect a
+    multi-hour run; CI uses ``desk_scale_config`` instead."""
+    if not 0 < grid_step <= 1:
+        raise ValueError(f"grid step must lie in (0, 1], not {grid_step}")
+    grid = [round(grid_step * i, 10) for i in range(1, int(round(1.0 / grid_step)) + 1)]
+    # m and N are placeholders: sweep_trial sets them per trial
+    if kind == "biased":
+        ens = EnsembleConfig(kind="biased", m=1, N=1, mu=mu, sigma=sigma,
+                             lambda_bound=lambda_bound, base_dist=base_dist)
+    else:
+        ens = EnsembleConfig(kind=kind, m=1, N=1)
+    return ExperimentConfig(N=N, k_fractions=grid, m_fractions=grid, trials=trials,
+                            ensemble=ens, **options)
 
 
 def desk_scale_config(master_seed: int = 0, kind: str = "biased") -> ExperimentConfig:
     """CI default: N=100 on a 0.1-spaced 10x10 grid with 25 trials."""
-    grid = [i / 10.0 for i in range(1, 11)]
-    if kind == "biased":
-        ens = EnsembleConfig(kind="biased", m=1, N=1, mu=1.0, sigma=1.0,
-                             lambda_bound=1.0, base_dist="rademacher_scaled")
-    else:
-        ens = EnsembleConfig(kind=kind, m=1, N=1)
-    return ExperimentConfig(N=100, k_fractions=grid, m_fractions=grid, trials=25,
-                            ensemble=ens, programs=("box_bp",),
-                            master_seed=master_seed)
+    return grid_config(100, 0.1, kind=kind, master_seed=master_seed)

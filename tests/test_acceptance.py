@@ -24,8 +24,8 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from binrec.analysis import (ConeSpec, build_dual_certificate,
-                             certificate_threshold, check_kernel_cone,
-                             verify_certificate)
+                             certificate_offset, certificate_threshold,
+                             check_kernel_cone, verify_certificate)
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
 from binrec.experiments import desk_scale_config, run_phase_transition, sweep_trial
 from binrec.optim import LpProblem, solve_box_ls, solve_box_qp, solve_lp
@@ -197,8 +197,8 @@ def _certificate_draw(m, t):
     # built nu is positive on J; recovering 1_J needs the negated vector
     verified, _ = verify_certificate(A.entries, -nu, J,
                                      certificate_threshold(m, p.sigma, "lemma"))
-    rho = -p.sigma ** 2 / (4.0 * p.mu)
-    stated_bound, _ = cert_norm_bound(m, p.k, rho, p.sigma, p.lambda_bound)
+    stated_bound, _ = cert_norm_bound(m, p.k, certificate_offset(p.mu, p.sigma),
+                                      p.sigma, p.lambda_bound)
     return A, J, verified, float(nu @ nu) <= stated_bound
 
 

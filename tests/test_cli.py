@@ -109,13 +109,34 @@ def test_solve_infeasible_exit_code(capsys, tmp_path):
 
 
 def test_phase_dry_run_plan(capsys):
-    code, out = run_cli(capsys, "--json", "phase", "--preset", "paper-scale",
+    code, out = run_cli(capsys, "--json", "phase", "--N", "500", "--grid-step", "0.01",
                         "--dry-run")
     assert code == 0
     plan = json.loads(out)["plan"]
     assert plan["grid"] == "100x100"
     assert plan["trials"] == 25
     assert plan["total_solves"] == 100 * 100 * 25
+
+
+def test_phase_plan_keeps_every_flag_at_paper_scale(capsys):
+    code, out = run_cli(capsys, "--json", "phase", "--N", "500", "--grid-step", "0.01",
+                        "--programs", "box_ls,mibi_bp", "--trials", "3",
+                        "--record-simultaneous", "--dry-run")
+    assert code == 0
+    plan = json.loads(out)["plan"]
+    assert plan["programs"] == ["box_ls", "mibi_bp"]
+    assert plan["trials"] == 3
+    assert plan["total_solves"] == 100 * 100 * 3 * 2 * 2
+
+
+@pytest.mark.parametrize("step", ["0", "2", "-0.1"])
+def test_phase_rejects_a_bad_grid_step(capsys, tmp_path, step):
+    csv = tmp_path / "p.csv"
+    code = main(["phase", f"--grid-step={step}", "--out-csv", str(csv)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not csv.exists()
 
 
 def test_phase_small_run_writes_outputs(capsys, tmp_path):

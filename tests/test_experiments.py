@@ -10,7 +10,7 @@ import pytest
 from binrec.ensembles import EnsembleConfig, _thread_cap
 from binrec.experiments import (CSV_HEADER, ExperimentConfig, PhaseDiagram,
                                 TrialRecord, _worker_pool, desk_scale_config,
-                                paper_scale_config, read_csv, render_heatmap,
+                                grid_config, read_csv, render_heatmap,
                                 run_cell, run_phase_transition, sweep_trial,
                                 trial_seed, write_csv)
 from binrec.recovery import MIBI_TIE_TOL, RecoveryProblem, box_bp, round_to_binary
@@ -34,6 +34,10 @@ def test_config_validation():
         _small_config(m_fractions=[0.0, 0.5])
     with pytest.raises(ValueError):
         _small_config(programs=("box_bp", "omp"))
+    with pytest.raises(ValueError):
+        _small_config(k_fractions=[])
+    with pytest.raises(ValueError):
+        _small_config(m_fractions=[])
 
 
 def test_trial_seed_mixing():
@@ -268,9 +272,10 @@ def test_success_rate_monotone_in_m_up_to_noise():
 
 
 def test_presets():
-    paper = paper_scale_config()
+    paper = grid_config(500, 0.01)
     assert paper.N == 500 and paper.trials == 25
     assert len(paper.k_fractions) == 100
+    assert paper.k_fractions == paper.m_fractions == [i / 100 for i in range(1, 101)]
     assert paper.ensemble.kind == "biased" and paper.ensemble.mu == 1.0
     desk = desk_scale_config(kind="gaussian")
     assert desk.N == 100 and len(desk.k_fractions) == 10
