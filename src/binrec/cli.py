@@ -301,10 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-step", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--kind", choices=MATRIX_KINDS, default="biased")
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--lambda-bound", type=float, default=1.0)
-    p.add_argument("--base-dist", choices=BASE_DISTS, default="rademacher_scaled")
+    # the biased kind's parameters; grid_config gives their defaults
+    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--lambda-bound", type=float, default=None)
+    p.add_argument("--base-dist", choices=BASE_DISTS, default=None)
     p.add_argument("--programs", default="box_bp")
     p.add_argument("--success-tol", type=float, default=recovery.DEFAULT_SUCCESS_TOL)
     p.add_argument("--master-seed", type=int, default=0)

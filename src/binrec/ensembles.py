@@ -70,6 +70,9 @@ class EnsembleConfig:
             raise ValueError(f"unknown base distribution {self.base_dist!r}")
         if self.m < 1 or self.N < 1:
             raise ValueError(f"matrix dimensions must be positive, got {self.m}x{self.N}")
+        for name in ("mu", "sigma", "lambda_bound"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         if self.mu < 0:
             raise ValueError("bias mu must be nonnegative")
         if self.sigma <= 0:

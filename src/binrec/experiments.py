@@ -312,12 +312,16 @@ def render_heatmap(diagram: PhaseDiagram, program: str, path: str,
 # --- sweep configs --------------------------------------------------------
 
 def grid_config(N: int, grid_step: float, *, trials: int = 25, kind: str = "biased",
-                mu: float = 1.0, sigma: float = 1.0, lambda_bound: float = 1.0,
-                base_dist: str = "rademacher_scaled", **options) -> ExperimentConfig:
+                mu: float | None = None, sigma: float | None = None,
+                lambda_bound: float | None = None, base_dist: str | None = None,
+                **options) -> ExperimentConfig:
     """The sweep at signal length N over the fractions grid_step, 2 grid_step,
     ..., 1 on both axes, with ``trials`` trials per cell.  The ensemble
-    parameters apply to the biased kind; every other kind draws with its own
-    defaults.  ``options`` are the remaining ``ExperimentConfig`` fields.
+    parameters belong to the biased kind, where they default to mu = sigma
+    = lambda_bound = 1 and the Rademacher base; every other kind draws with
+    its own defaults and rejects them.  ``options`` are the remaining
+    ``ExperimentConfig`` fields.  A step with round(1/step) > N is
+    rejected: below 1/N the grid only repeats (k, m) cells.
 
     The paper's protocol is ``grid_config(500, 0.01)``, i.e.
     ``binrec phase --N 500 --grid-step 0.01``: unnormalized biased Rademacher
@@ -325,13 +329,21 @@ def grid_config(N: int, grid_step: float, *, trials: int = 25, kind: str = "bias
     multi-hour run; CI uses ``desk_scale_config`` instead."""
     if not 0 < grid_step <= 1:
         raise ValueError(f"grid step must lie in (0, 1], not {grid_step}")
-    grid = [round(grid_step * i, 10) for i in range(1, int(round(1.0 / grid_step)) + 1)]
-    # m and N are placeholders: sweep_trial sets them per trial
+    # capped before rounding, so that no step asks for more than N + 1 cells
+    steps = round(min(1.0 / grid_step, N + 1))
+    if steps > N:
+        raise ValueError(f"grid step {grid_step} asks for more than N = {N} fractions "
+                         "per axis, which only repeat (k, m) cells")
+    grid = [round(grid_step * i, 10) for i in range(1, steps + 1)]
+    params = {"mu": mu, "sigma": sigma, "lambda_bound": lambda_bound, "base_dist": base_dist}
+    given = {name: v for name, v in params.items() if v is not None}
     if kind == "biased":
-        ens = EnsembleConfig(kind="biased", m=1, N=1, mu=mu, sigma=sigma,
-                             lambda_bound=lambda_bound, base_dist=base_dist)
-    else:
-        ens = EnsembleConfig(kind=kind, m=1, N=1)
+        given = {"mu": 1.0, "sigma": 1.0, "lambda_bound": 1.0, "base_dist": "rademacher_scaled",
+                 **given}
+    elif given:
+        raise ValueError(f"{', '.join(given)} apply only to the biased kind, not {kind!r}")
+    # m and N are placeholders: sweep_trial sets them per trial
+    ens = EnsembleConfig(kind=kind, m=1, N=1, **given)
     return ExperimentConfig(N=N, k_fractions=grid, m_fractions=grid, trials=trials,
                             ensemble=ens, **options)
 

@@ -4,12 +4,21 @@ On the nonnegative box, ||x||_1 = sum(x) and ||1-x||_1 = N - sum(x), so the
 basis-pursuit programs and their mirrored variants are plain LPs.  The whole
 artifact hinges on this reduction; it is applied here and nowhere else.
 
-Under the paper's condition box-LS has box-BP's solution, the only point of
-{Ax = b} in the box.  So on a wide A (m < N), ``box_ls`` returns box-BP's
-rounded point when it passes box-LS's fixed-point test and
-``analysis.check_kernel_cone`` proves it the unique minimizer, and runs the
-least-squares solver only otherwise; with m >= N or a noisy b the solver
-is direct.
+Under the paper's condition the answer is the only binary point that fits
+b, so least squares can find it without an LP.  On a noiseless problem
+(``eta`` None or 0) box-BP's LP first tries two binary candidates, each one
+NNLS solve: the rounding of nnls(A, b) clipped to the box, and the mirror
+of the rounding of nnls(A, A1 - b), for saturated signals.  A candidate x
+that fits b is returned without the LP when ``analysis.check_kernel_cone``
+proves it the LP's unique optimum: on the sign cone of x's support, x is
+the only point of the box with Ax = b, the answer of both LPs and of
+box-LS; with the sum row as well, x is box-BP's unique optimum (and 1 - x
+plays that part for the mirror LP).  Otherwise HiGHS solves the LP.
+
+So on a wide A (m < N) ``box_ls`` returns box-BP's rounded point when it
+passes box-LS's fixed-point test and the same kernel-cone check proves it
+the unique minimizer, and runs the least-squares solver only otherwise;
+with m >= N or a noisy b the solver is direct.
 """
 
 from __future__ import annotations
@@ -17,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, nnls
 
 from .analysis import ConeSpec, check_kernel_cone
 from .ensembles import BinarySignal, DenseMatrix
-from .optim import LpProblem, SolverFailure, box_ls_point, solve_box_ls, solve_lp
+from .optim import (TOL_FEAS, LpProblem, SolverFailure, box_ls_point, solve_box_ls,
+                    solve_lp)
 
 DEFAULT_SUCCESS_TOL = 1e-4
 
@@ -38,22 +48,29 @@ ROBUST_BALL_TOL = 1e-9
 @dataclass
 class RecoveryProblem:
     """One instance: A, b and the noise level eta of b.  robust_box_bp
-    takes eta as its ball's radius and box_ls skips its certified shortcut
-    when eta > 0; the basis-pursuit programs ignore it.  Treat it as
-    immutable: the box-BP LPs solved on it are kept, so that every program
-    run on the same problem solves each LP once."""
+    takes eta as its ball's radius, and the box-BP LPs and box_ls skip
+    their certified shortcuts when eta > 0; the basis-pursuit programs'
+    answers do not depend on it.  Treat it as immutable: the box-BP
+    reports, binary candidates and kernel-cone verdicts computed on it are
+    kept, so that every program run on the same problem computes each
+    once.  b is stored as a vector of m finite entries."""
 
     A: DenseMatrix
     b: np.ndarray
     eta: float | None = None
     _bp_reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _candidates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cones: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.A, np.ndarray):
             self.A = DenseMatrix(self.A)
-        self.b = np.asarray(self.b, dtype=float)
+        # a one-row measurement file loads as a 0-d array
+        self.b = np.asarray(self.b, dtype=float).reshape(-1)
         if self.b.size != self.A.m:
             raise ValueError(f"measurement vector length {self.b.size} != m={self.A.m}")
+        if not np.all(np.isfinite(self.b)):
+            raise ValueError("measurements must be finite")
         if self.eta is not None and self.eta < 0:
             raise ValueError("noise level eta must be nonnegative")
 
@@ -77,17 +94,72 @@ def _bp_lp(p: RecoveryProblem, mirror: bool) -> RecoveryReport:
     return p._bp_reports[mirror]
 
 
+def _candidate(p: RecoveryProblem, saturated: bool) -> np.ndarray | None:
+    """A binary point from one NNLS solve, computed once per problem: the
+    rounding of nnls(A, b) clipped to the box, or with ``saturated``
+    1 - that rounding for nnls(A, A1 - b).  None when some row of Ax - b
+    exceeds TOL_FEAS * max(1, |b|_inf), or when NNLS hits its iteration
+    cap."""
+    if saturated not in p._candidates:
+        A, b = p.A.entries, p.b
+        x = None
+        try:
+            z = nnls(A, A.sum(axis=1) - b if saturated else b)[0]
+        except RuntimeError:
+            pass
+        else:
+            # clip first: NNLS may overshoot 1, and a rounded 2 can fit b
+            x = round_to_binary(np.clip(z, 0.0, 1.0)).astype(float)
+            if saturated:
+                x = 1.0 - x
+            if np.max(np.abs(A @ x - b)) > TOL_FEAS * max(1.0, float(np.max(np.abs(b)))):
+                x = None
+        p._candidates[saturated] = x
+    return p._candidates[saturated]
+
+
+def _cone_holds(p: RecoveryProblem, K: np.ndarray, sum_nonpos: bool = False) -> bool:
+    """``check_kernel_cone`` on the sign cone of K, computed once per
+    problem; False when the check stops without a verdict."""
+    key = (K.tobytes(), sum_nonpos)
+    if key not in p._cones:
+        cone = ConeSpec.sign_cone(p.A.N, K, sum_nonpos=sum_nonpos)
+        try:
+            p._cones[key] = check_kernel_cone(p.A, cone).holds
+        except SolverFailure:
+            p._cones[key] = False
+    return p._cones[key]
+
+
+def _certified(p: RecoveryProblem, mirror: bool) -> np.ndarray | None:
+    """A binary candidate x certified the LP's unique optimum: ker(A) meets
+    the sign cone of x's support trivially (x is the only point of the box
+    with Ax = b), or that cone with the sum row (box-BP), or the sum-row
+    cone of 1 - x's support (the mirror LP).  None when neither candidate
+    is certified."""
+    for saturated in (False, True):
+        x = _candidate(p, saturated)
+        if x is not None and (
+                _cone_holds(p, np.flatnonzero(x))
+                or _cone_holds(p, np.flatnonzero(1.0 - x if mirror else x), sum_nonpos=True)):
+            return x
+    return None
+
+
 def _solve_bp_lp(p: RecoveryProblem, mirror: bool) -> RecoveryReport:
     A = p.A.entries
     N = A.shape[1]
-    c = -np.ones(N) if mirror else np.ones(N)
-    sol = solve_lp(LpProblem(c=c, A_eq=A, b_eq=p.b, lower=np.zeros(N), upper=np.ones(N)))
     name = "box_bp_mirror" if mirror else "box_bp"
-    if sol.status != "optimal":
-        return RecoveryReport(None, name, np.nan, sol.status)
+    x = None if p.eta else _certified(p, mirror)
+    if x is None:
+        c = -np.ones(N) if mirror else np.ones(N)
+        sol = solve_lp(LpProblem(c=c, A_eq=A, b_eq=p.b, lower=np.zeros(N), upper=np.ones(N)))
+        if sol.status != "optimal":
+            return RecoveryReport(None, name, np.nan, sol.status)
+        x = sol.x
     # report the l1 objective of the program itself
-    obj = N - float(np.sum(sol.x)) if mirror else float(np.sum(sol.x))
-    return RecoveryReport(sol.x, name, obj, "optimal")
+    obj = N - float(np.sum(x)) if mirror else float(np.sum(x))
+    return RecoveryReport(x, name, obj, "optimal")
 
 
 def box_bp(p: RecoveryProblem) -> RecoveryReport:
@@ -137,20 +209,21 @@ def box_ls(p: RecoveryProblem) -> RecoveryReport:
     answer first.
 
     When A is wide (m < N) and b is noiseless (``p.eta`` None or 0),
-    box-BP's LP point (the problem's cached one) is rounded to a binary x.
+    box-BP's point (the problem's cached one) is rounded to a binary x.
     If x passes ``solve_box_ls``'s fixed-point test at its default
     tolerance, it is a minimizer.  If moreover ker(A) meets the cone of the
     box's feasible directions at the vertex x trivially
-    (``check_kernel_cone`` on the sign cone of x's support), then x is the
-    only point z of the box with Az = Ax.  Every minimizer has the same Az,
+    (``check_kernel_cone`` on the sign cone of x's support, a verdict that
+    box-BP's certification may already have cached), then x is the only
+    point z of the box with Az = Ax.  Every minimizer has the same Az,
     since the objective is strictly convex in Az, so x is the unique
     minimizer and is returned as ``converged``.  Otherwise, or when a solver
     stops without a verdict, ``solve_box_ls`` runs.  The shortcut is not
     tried with m >= N, where the solver runs BVLS directly on a full-rank A,
     nor on noisy b (``p.eta`` > 0), where Ax = b almost never has a point in
     the box and box-BP's LP would be infeasible or, rounded, no minimizer.
-    On a noiseless problem where box-BP's LP has not run, the shortcut
-    solves it.
+    On a noiseless problem where box-BP has not run, the shortcut runs it:
+    its NNLS candidates and, when neither is certified, its LP.
     """
     A = p.A.entries
     m, N = A.shape
@@ -159,8 +232,7 @@ def box_ls(p: RecoveryProblem) -> RecoveryReport:
             bp = _bp_lp(p, mirror=False)
             if bp.x_hat is not None:
                 res = box_ls_point(A, p.b, round_to_binary(bp.x_hat))
-                if res.converged and check_kernel_cone(
-                        A, ConeSpec.sign_cone(N, np.flatnonzero(res.x))).holds:
+                if res.converged and _cone_holds(p, np.flatnonzero(res.x)):
                     return RecoveryReport(res.x, "box_ls", res.residual_norm, res.status)
         except SolverFailure:
             pass

@@ -139,6 +139,53 @@ def test_phase_rejects_a_bad_grid_step(capsys, tmp_path, step):
     assert not csv.exists()
 
 
+def test_phase_rejects_a_grid_step_below_one_over_n(capsys, monkeypatch):
+    # a step of 1e-9 would ask for 10^9 fractions per axis; the step is
+    # refused before any grid is built, under --dry-run too
+    import binrec.experiments
+
+    def bounded_range(*args):
+        r = range(*args)
+        if len(r) > 1000:
+            raise AssertionError(f"grid_config asked for {len(r)} grid fractions")
+        return r
+
+    monkeypatch.setattr(binrec.experiments, "range", bounded_range, raising=False)
+    code = main(["phase", "--N", "100", "--grid-step", "1e-9", "--dry-run"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", [["--mu", "0.3"], ["--sigma", "2"], ["--lambda-bound", "2"],
+                                  ["--base-dist", "uniform_bounded"]])
+def test_phase_rejects_biased_parameters_for_other_kinds(capsys, flag):
+    code = main(["phase", "--kind", "gaussian", *flag, "--dry-run"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def test_phase_biased_defaults(capsys, monkeypatch):
+    import binrec.experiments
+    made = []
+    grid_config = binrec.experiments.grid_config
+
+    def recorded(*args, **kwargs):
+        made.append(grid_config(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(binrec.experiments, "grid_config", recorded)
+    assert run_cli(capsys, "phase", "--dry-run")[0] == 0
+    assert run_cli(capsys, "phase", "--mu", "0.5", "--dry-run")[0] == 0
+    assert run_cli(capsys, "phase", "--kind", "gaussian", "--dry-run")[0] == 0
+    assert made[0].ensemble == EnsembleConfig(kind="biased", m=1, N=1, mu=1.0, sigma=1.0,
+                                              lambda_bound=1.0, base_dist="rademacher_scaled")
+    assert made[1].ensemble == EnsembleConfig(kind="biased", m=1, N=1, mu=0.5, sigma=1.0,
+                                              lambda_bound=1.0, base_dist="rademacher_scaled")
+    assert made[2].ensemble == EnsembleConfig(kind="gaussian", m=1, N=1)
+
+
 def test_phase_small_run_writes_outputs(capsys, tmp_path):
     csv = str(tmp_path / "p.csv")
     svg = str(tmp_path / "p.svg")

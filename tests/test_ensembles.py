@@ -220,6 +220,16 @@ def test_config_validation():
                        base_dist="uniform_bounded")
 
 
+@pytest.mark.parametrize("params", [
+    {"mu": math.nan}, {"mu": math.inf}, {"sigma": math.nan}, {"sigma": math.inf},
+    {"lambda_bound": math.nan}, {"lambda_bound": math.inf},
+    {"sigma": math.nan, "lambda_bound": math.nan}])
+def test_config_rejects_non_finite_parameters(params):
+    # rejected before gen_matrix fills a matrix with them
+    with pytest.raises(ValueError, match="finite"):
+        EnsembleConfig(kind="biased", m=2, N=2, **params)
+
+
 def test_sparse_binary_edge_sparsities():
     assert gen_sparse_binary(5, 0, seed=1).support.size == 0
     full = gen_sparse_binary(5, 5, seed=1)

@@ -13,7 +13,8 @@ from binrec.experiments import (CSV_HEADER, ExperimentConfig, PhaseDiagram,
                                 grid_config, read_csv, render_heatmap,
                                 run_cell, run_phase_transition, sweep_trial,
                                 trial_seed, write_csv)
-from binrec.recovery import MIBI_TIE_TOL, RecoveryProblem, box_bp, round_to_binary
+from binrec.recovery import (MIBI_TIE_TOL, RecoveryProblem, _certified, box_bp,
+                             round_to_binary)
 
 
 def _small_config(**overrides):
@@ -196,17 +197,23 @@ def test_heatmap_wellformed_xml_with_axes(tmp_path):
 
 
 def test_run_cell_solves_each_lp_once_per_trial(monkeypatch):
-    # box_bp shares box-BP's LP with mibi_bp, which adds the mirror LP only
-    # where box-BP's point is not binary to MIBI_TIE_TOL, and with a
-    # noiseless robust_box_bp, which solves box-BP's LP at eta = 0
+    # box_bp shares box-BP's report with mibi_bp, which adds the mirror LP
+    # only where box-BP's point is not binary to MIBI_TIE_TOL, and with a
+    # noiseless robust_box_bp, which takes box-BP's report at eta = 0.  An
+    # LP runs only where no NNLS candidate is certified its optimum.
     import binrec.recovery
     cfg = _small_config()
-    fractional = 0
+    fractional = plain_lps = mirror_lps = 0
     for t in range(cfg.trials):
         _, A, _, b = sweep_trial(cfg, 0, 0, t)
-        x = box_bp(RecoveryProblem(A, b)).x_hat
-        fractional += bool(np.linalg.norm(round_to_binary(x) - x) > MIBI_TIE_TOL)
+        p = RecoveryProblem(A, b)
+        x = box_bp(p).x_hat
+        frac = bool(np.linalg.norm(round_to_binary(x) - x) > MIBI_TIE_TOL)
+        fractional += frac
+        plain_lps += _certified(p, mirror=False) is None
+        mirror_lps += frac and _certified(p, mirror=True) is None
     assert 0 < fractional < cfg.trials  # the cell takes both ways through mibi_bp
+    assert 0 < plain_lps < cfg.trials  # certification settles some trials, not all
 
     calls = []
     solve_lp = binrec.recovery.solve_lp
@@ -216,10 +223,10 @@ def test_run_cell_solves_each_lp_once_per_trial(monkeypatch):
         return solve_lp(p)
 
     monkeypatch.setattr(binrec.recovery, "solve_lp", counted)
-    for second, extra in (("mibi_bp", fractional), ("robust_box_bp", 0)):
+    for second, extra in (("mibi_bp", mirror_lps), ("robust_box_bp", 0)):
         calls.clear()
         records = run_cell(_small_config(programs=("box_bp", second)), 0, 0)
-        assert len(calls) == cfg.trials + extra, second
+        assert len(calls) == plain_lps + extra, second
         assert len({(bool(p.c[0] > 0), p.b_eq.tobytes()) for p in calls}) == len(calls)
         theirs = [r for r in records if r.program == second]
         assert len(theirs) == cfg.trials and all(r.solver_status == "optimal" for r in theirs)

@@ -3,14 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import nnls
 
 from binrec.analysis import ConeSpec, check_kernel_cone
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
 from binrec.experiments import desk_scale_config, sweep_trial
-from binrec.optim import SolverFailure, box_ls_point, solve_box_ls
+from binrec.optim import LpProblem, SolverFailure, box_ls_point, solve_box_ls, solve_lp
 from binrec.recovery import (DEFAULT_SUCCESS_TOL, MIBI_TIE_TOL, RecoveryProblem,
                              RecoveryReport, box_bp, box_bp_mirror, box_ls, mibi_bp,
-                             recovery_success, robust_box_bp, round_to_binary, solve)
+                             _candidate, recovery_success, robust_box_bp, round_to_binary,
+                             solve)
 from oracles import robust_kkt_violations
 
 BALL_TOL = 1e-9
@@ -373,16 +375,21 @@ def test_box_ls_noisy_wide_trial_runs_the_solver(monkeypatch, cell):
 
 
 def test_box_ls_runs_the_solver_when_the_lp_fails(monkeypatch):
-    # an LP without a verdict certifies nothing; box_ls must not fail on it
+    # an LP without a verdict certifies nothing; box_ls must not fail on it.
+    # Desk-sweep trial k=20, m=30 (master seed 1): neither NNLS candidate
+    # fits b, so box-BP's certification cannot settle it and the LP runs.
     import binrec.recovery
+    lp_calls = []
 
     def no_verdict(lp):
+        lp_calls.append(lp)
         raise SolverFailure("iteration limit")
 
     monkeypatch.setattr(binrec.recovery, "solve_lp", no_verdict)
     calls = _counting_solve_box_ls(monkeypatch)
-    _, A, _, b = sweep_trial(_desk_sweep_config(1), 0, 2, 0)
+    _, A, _, b = sweep_trial(_desk_sweep_config(1), 1, 0, 0)
     rep = box_ls(RecoveryProblem(A, b))
+    assert len(lp_calls) == 1
     assert len(calls) == 1
     assert np.array_equal(rep.x_hat, solve_box_ls(A.entries, b).x)
 
@@ -414,6 +421,154 @@ def test_box_ls_shortcut_declines_a_binary_point_without_the_cone():
     assert np.array_equal(x, x0.dense())
     assert box_ls_point(A.entries, b, x).converged
     assert not check_kernel_cone(A, ConeSpec.sign_cone(A.N, x0.support)).holds
+
+
+def _counting_solve_lp(monkeypatch):
+    import binrec.recovery
+    calls = []
+
+    def counted(lp):
+        calls.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(binrec.recovery, "solve_lp", counted)
+    return calls
+
+
+def _certification_instances():
+    # Gaussian, {0, 1} and biased {0, 2} matrices, wide, square and tall,
+    # with K empty, full and in between
+    rng = np.random.default_rng(2020)
+    N = 10
+    for kind in ("gaussian", "zero_one", "biased"):
+        for m in (4, 7, 10, 14):
+            for k in (0, 1, 3, 5, 8, 9, N):
+                for _ in range(3):
+                    if kind == "gaussian":
+                        A = rng.standard_normal((m, N))
+                    else:
+                        A = rng.integers(0, 2, (m, N)) * (2.0 if kind == "biased" else 1.0)
+                    x0 = np.zeros(N)
+                    x0[rng.permutation(N)[:k]] = 1.0
+                    yield kind, A, x0
+
+
+def test_certified_points_are_the_lps_optimum(monkeypatch):
+    # a box-BP report settled without HiGHS is exactly binary and is the
+    # LP's optimum; a candidate that fits b but is not certified falls
+    # through to HiGHS
+    calls = _counting_solve_lp(monkeypatch)
+    seen = {}
+    for kind, A, x0 in _certification_instances():
+        b = A @ x0
+        for mirror, program in ((False, box_bp), (True, box_bp_mirror)):
+            p = RecoveryProblem(A, b)
+            calls.clear()
+            rep = program(p)
+            if calls:
+                fits = any(_candidate(p, saturated) is not None for saturated in (False, True))
+                seen[kind, mirror, "lp", fits] = seen.get((kind, mirror, "lp", fits), 0) + 1
+                continue
+            seen[kind, mirror, "certified"] = seen.get((kind, mirror, "certified"), 0) + 1
+            assert rep.solver_status == "optimal"
+            assert np.all((rep.x_hat == 0.0) | (rep.x_hat == 1.0))
+            c = -np.ones(A.shape[1]) if mirror else np.ones(A.shape[1])
+            ref = solve_lp(LpProblem(c=c, A_eq=A, b_eq=b, lower=np.zeros(A.shape[1]),
+                                     upper=np.ones(A.shape[1])))
+            assert np.max(np.abs(rep.x_hat - ref.x)) <= 1e-9, (kind, mirror)
+            assert rep.objective == pytest.approx(ref.objective + (A.shape[1] if mirror else 0.0),
+                                                  abs=1e-9)
+    for kind in ("gaussian", "zero_one", "biased"):
+        for mirror in (False, True):
+            assert seen.get((kind, mirror, "certified"), 0) > 0, (kind, mirror)
+            assert seen.get((kind, mirror, "lp", False), 0) > 0, (kind, mirror)
+    assert sum(n for key, n in seen.items() if key[2:] == ("lp", True)) > 0
+
+
+def test_a_fitting_candidate_without_a_certificate_runs_the_lp(monkeypatch):
+    # x1 + x2 = 1: NNLS gives (1, 0), which fits b, but the whole segment
+    # is optimal, so no cone check holds and HiGHS answers
+    calls = _counting_solve_lp(monkeypatch)
+    A, b = np.array([[1.0, 1.0]]), np.array([1.0])
+    p = RecoveryProblem(A, b)
+    rep = box_bp(p)
+    assert np.array_equal(_candidate(p, saturated=False), [1.0, 0.0])
+    assert len(calls) == 1
+    assert rep.solver_status == "optimal"
+    assert float(np.sum(rep.x_hat)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_certification_clips_nnls_output_to_the_box(monkeypatch):
+    # nnls(A, b) is (2, 0): rounded unclipped it would fit b from outside
+    # the box.  Clipped it does not fit, and the saturated candidate (1, 1)
+    # is the only point of the box with Ax = b.
+    A, b = np.array([[1.0, 1.0]]), np.array([2.0])
+    assert np.max(nnls(A, b)[0]) > 1.0
+    calls = _counting_solve_lp(monkeypatch)
+    for program in (box_bp, box_bp_mirror, mibi_bp):
+        assert np.array_equal(program(RecoveryProblem(A, b)).x_hat, [1.0, 1.0])
+    assert not calls
+
+
+@pytest.mark.parametrize("module", ["recovery", "analysis"])
+def test_certification_without_a_verdict_runs_the_lp(monkeypatch, module):
+    # an NNLS solve that stops at its iteration cap, for the candidates
+    # (recovery) or in a kernel-cone check (analysis, a SolverFailure),
+    # certifies nothing
+    import binrec.analysis
+    import binrec.recovery
+
+    def no_verdict(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    A, x0 = _random_instance(np.random.default_rng(3), 6, 6, 3)
+    calls = _counting_solve_lp(monkeypatch)
+    box_bp(RecoveryProblem(A, A @ x0))
+    assert not calls
+    monkeypatch.setattr(getattr(binrec, module), "nnls", no_verdict)
+    for program in (box_bp, box_bp_mirror):
+        rep = program(RecoveryProblem(A, A @ x0))
+        assert rep.solver_status == "optimal"
+        assert np.linalg.norm(rep.x_hat - x0) <= 1e-8
+    assert len(calls) == 2
+
+
+def test_noisy_problems_take_no_certification(monkeypatch):
+    import binrec.analysis
+    import binrec.recovery
+
+    def never(*args, **kwargs):
+        raise AssertionError("NNLS ran on a noisy problem")
+
+    monkeypatch.setattr(binrec.recovery, "nnls", never)
+    monkeypatch.setattr(binrec.analysis, "nnls", never)
+    calls = _counting_solve_lp(monkeypatch)
+    A, x0 = _random_instance(np.random.default_rng(3), 6, 6, 3)
+    p = RecoveryProblem(A, A @ x0, eta=0.1)
+    for program in (box_bp, box_bp_mirror, mibi_bp, box_ls):
+        program(p)
+    assert len(calls) == 2
+
+
+def test_box_ls_reuses_the_certified_verdict(monkeypatch):
+    # box-BP's certification proved its point the only one of the box with
+    # Ax = b; box_ls returns it without another kernel-cone check
+    import binrec.analysis
+    nnls_calls = []
+
+    def counted(*args, **kwargs):
+        nnls_calls.append(args)
+        return nnls(*args, **kwargs)
+
+    monkeypatch.setattr(binrec.analysis, "nnls", counted)
+    calls = _counting_solve_box_ls(monkeypatch)
+    _, A, x0, b = sweep_trial(_desk_sweep_config(1), 0, 2, 0)
+    p = RecoveryProblem(A, b)
+    assert np.array_equal(box_bp(p).x_hat, x0.dense())
+    checks = len(nnls_calls)
+    rep = box_ls(p)
+    assert rep.solver_status == "converged" and np.array_equal(rep.x_hat, x0.dense())
+    assert len(nnls_calls) == checks and not calls
 
 
 def test_recovery_success_criterion():
@@ -455,6 +610,18 @@ def test_problem_validation():
         RecoveryProblem(np.eye(3), np.zeros(2))
     with pytest.raises(ValueError):
         RecoveryProblem(np.eye(3), np.zeros(3), eta=-1.0)
+    with pytest.raises(ValueError):
+        RecoveryProblem(np.eye(2), np.array([0.0, np.nan]))
+
+
+def test_problem_keeps_a_scalar_b_as_a_vector():
+    # a one-row measurement file loads as a 0-d array
+    p = RecoveryProblem(np.array([[1.0, 2.0]]), np.array(3.0))
+    assert p.b.shape == (1,)
+    for program in (box_bp, box_bp_mirror, box_ls):
+        rep = program(p)
+        assert rep.solver_status in ("optimal", "converged")
+        assert np.allclose(rep.x_hat, [1.0, 1.0], atol=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
