@@ -97,6 +97,9 @@ def cmd_solve(args) -> int:
     if rep.branch_chosen:
         payload["branch"] = rep.branch_chosen
         text += f", branch {rep.branch_chosen}"
+    if rep.optimality_gap is not None:
+        payload["optimality_gap"] = rep.optimality_gap
+        text += f", optimality gap {rep.optimality_gap:.3g}"
     if x0 is not None:
         ok = recovery.recovery_success(rep.x_hat, x0, args.success_tol)
         err = float(np.linalg.norm(rep.x_hat - x0.dense()))

@@ -68,6 +68,10 @@ class ExperimentConfig:
                 raise ValueError("grid fractions must lie in (0, 1]")
             if any(b <= a for a, b in zip(fr, fr[1:])):
                 raise ValueError("grid fractions must be strictly increasing")
+        if self.noise_eps is not None and not 0 <= self.noise_eps < np.inf:
+            raise ValueError("noise_eps must be finite and nonnegative")
+        if not 0 < self.success_tol < np.inf:
+            raise ValueError("success_tol must be positive and finite")
         bad = set(self.programs) - set(HARNESS_PROGRAMS)
         if bad:
             raise ValueError(f"unsupported programs: {sorted(bad)}")

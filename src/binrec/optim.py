@@ -7,15 +7,16 @@ N=500.  Least squares over [0,1]^N goes to scipy's BVLS
 to its trust-region reflective method (``lsq_linear(method="trf")``),
 which is polished by an active-set step when its point misses the
 projected-gradient fixed-point test.
-``solve_box_qp`` solves the same least-squares program by scipy's L-BFGS-B,
-never polished; no library code calls it, and the acceptance tests use it
-as a multi-start uniqueness probe.  Both report convergence by the same
-fixed-point test, and ``box_ls_point`` applies that test to a given point
-with no solver run: ``recovery.box_ls`` uses it on box-BP's rounded point,
-which it returns when ``analysis.check_kernel_cone`` proves that point the
-unique minimizer.  ``lp_feasible`` has no library caller since that check
-left HiGHS for NNLS; it stays for the benchmark tracer's phase-1 probe and
-the tests' kernel-cone oracle.
+``solve_box_qp`` solves the same program plus a linear term c.x by
+scipy's L-BFGS-B, never polished: ``recovery.robust_box_bp`` calls it with
+c = lam*1, once per step of its root-find, and the acceptance tests call
+it with c = 0 as a multi-start uniqueness probe.  Both report convergence
+by the same fixed-point test, and ``box_ls_point`` applies that test to a
+given point with no solver run: ``recovery.box_ls`` uses it on box-BP's
+rounded point, which it returns when ``analysis.check_kernel_cone`` proves
+that point the unique minimizer.  ``lp_feasible`` has no library caller
+since that check left HiGHS for NNLS; it stays for the benchmark tracer's
+phase-1 probe and the tests' kernel-cone oracle.
 
 BVLS is an active-set method and lands on a vertex of the box when the
 least-squares solution set is not a single point, which would make box_ls
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, linprog, lsq_linear, minimize
+from scipy.optimize import fmin_l_bfgs_b, linprog, lsq_linear
 
 # HiGHS's primal feasibility tolerance: how far a returned point may leave a
 # constraint row before clipping into its bounds; the kernel-cone check
@@ -147,12 +148,16 @@ class BoxLsResult:
 
 
 class _BoxQp:
-    """min 0.5*||Ax-b||^2 over the unit box [0,1]^N."""
+    """min 0.5*||Ax-b||^2 + c.x over the unit box [0,1]^N, its objective
+    taken relative to a reference point x0 (see ``obj``)."""
 
-    def __init__(self, A, b):
+    def __init__(self, A, b, c=0.0, x0=0.0):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         m, N = self.A.shape
+        self.c = np.broadcast_to(np.asarray(c, dtype=float), N)
+        self.x0 = np.broadcast_to(np.asarray(x0, dtype=float), N)
+        self.r0 = self.A @ self.x0 - self.b
         # step 1/L with L just above A^T A's largest eigenvalue, read off the
         # smaller Gram matrix; 1 on the zero matrix
         G = self.A @ self.A.T if m < N else self.A.T @ self.A
@@ -163,11 +168,16 @@ class _BoxQp:
         return np.clip(z, 0.0, 1.0)
 
     def grad(self, z):
-        return self.A.T @ (self.A @ z - self.b)
+        return self.A.T @ (self.A @ z - self.b) + self.c
 
     def obj(self, z):
-        r = self.A @ z - self.b
-        return 0.5 * float(r @ r)
+        """The objective less c.x0, through the residual r0 + A(z - x0) with
+        r0 = Ax0 - b: its rounding shrinks with the step from x0 rather than
+        with |Az| and |c.z|, so that a solver warm-started near the minimizer
+        can still tell its last steps apart.  At x0 = 0 it is the objective,
+        to the bit."""
+        r = self.r0 + self.A @ (z - self.x0)
+        return 0.5 * float(r @ r) + float(self.c @ (z - self.x0))
 
     def fixed_point(self, x, tol) -> bool:
         """The projected-gradient step from x moves it by at most tol."""
@@ -189,7 +199,7 @@ class _BoxQp:
             if np.any(free):
                 r = self.b - A[:, ~free] @ cand[~free]
                 Af = A[:, free]
-                sol = np.linalg.lstsq(Af.T @ Af, Af.T @ r, rcond=None)[0]
+                sol = np.linalg.lstsq(Af.T @ Af, Af.T @ r - self.c[free], rcond=None)[0]
                 cand[free] = self.proj(sol)
             f_cand = self.obj(cand)
             if f_cand < f_x:
@@ -206,23 +216,22 @@ class _BoxQp:
                            status="converged" if converged else "max_iter" if capped else "stalled")
 
 
-def solve_box_qp(A, b, tol=1e-10, max_iter=None, x0=None) -> BoxLsResult:
-    """min 0.5*||Ax-b||^2 over [0,1]^N, by scipy's L-BFGS-B from ``x0``
-    (the origin when None), with no stop on the objective's progress and
-    its projected-gradient stop at ``tol``.  ``max_iter`` caps L-BFGS-B's
-    iterations (50 N when None).
+def solve_box_qp(A, b, c=0.0, tol=1e-10, max_iter=None, x0=None) -> BoxLsResult:
+    """min 0.5*||Ax-b||^2 + c.x over [0,1]^N (``c`` a vector or a scalar
+    for c*1), by scipy's L-BFGS-B from ``x0`` (the origin when None), with
+    no stop on the objective's progress and its projected-gradient stop at
+    ``tol``.  ``max_iter`` caps L-BFGS-B's iterations (50 N when None).
 
     The point is not polished: a multi-start caller sees tied optima as
     they are, where the polish would break ties toward on-bound points."""
-    qp = _BoxQp(A, b)
-    N = qp.A.shape[1]
-    if max_iter is None:
-        max_iter = 50 * N
-    x = qp.proj(np.zeros(N) if x0 is None else np.asarray(x0, dtype=float))
-    res = minimize(qp.obj, x, jac=qp.grad, method="L-BFGS-B", bounds=Bounds(0.0, 1.0),
-                   options={"maxiter": max_iter, "ftol": 0.0, "gtol": tol})
-    # L-BFGS-B's status 1 is its iteration (or evaluation) limit
-    return qp.result(qp.proj(res.x), res.nit, tol, capped=res.status == 1)
+    N = np.shape(A)[1]
+    max_iter = 50 * N if max_iter is None else max_iter
+    x = np.clip(np.zeros(N) if x0 is None else np.asarray(x0, dtype=float), 0.0, 1.0)
+    qp = _BoxQp(A, b, c, x)
+    x, _, info = fmin_l_bfgs_b(qp.obj, x, fprime=qp.grad, bounds=[(0.0, 1.0)] * N,
+                               factr=0.0, pgtol=tol, maxiter=max_iter)
+    # L-BFGS-B's warnflag 1 is its iteration (or evaluation) limit
+    return qp.result(qp.proj(x), info["nit"], tol, capped=info["warnflag"] == 1)
 
 
 def box_ls_point(A, b, x, tol=1e-10) -> BoxLsResult:

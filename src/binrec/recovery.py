@@ -19,6 +19,11 @@ So on a wide A (m < N) ``box_ls`` returns box-BP's rounded point when it
 passes box-LS's fixed-point test and the same kernel-cone check proves it
 the unique minimizer, and runs the least-squares solver only otherwise;
 with m >= N or a noisy b the solver is direct.
+
+The noisy program, ``robust_box_bp``, is box-constrained least squares
+again: its Lagrangian adds lam*1.x to box-LS's objective, so a root-find
+over lam on ``optim.solve_box_qp`` solves it, and Lagrangian sufficiency
+bounds how far its answer can lie from the optimum.
 """
 
 from __future__ import annotations
@@ -26,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, nnls
+from scipy.optimize import brentq, nnls
 
 from .analysis import ConeSpec, check_kernel_cone
 from .ensembles import BinarySignal, DenseMatrix
 from .optim import (TOL_FEAS, LpProblem, SolverFailure, box_ls_point, solve_box_ls,
-                    solve_lp)
+                    solve_box_qp, solve_lp)
 
 DEFAULT_SUCCESS_TOL = 1e-4
 
@@ -41,8 +46,9 @@ DEFAULT_SUCCESS_TOL = 1e-4
 # would break ties between two binary candidates at random.
 MIBI_TIE_TOL = 1e-7
 
-# how far outside the noise ball an ``optimal`` robust_box_bp point may lie
-ROBUST_BALL_TOL = 1e-9
+# how far above the optimum, relative to max(1, 1.x), an ``optimal``
+# robust_box_bp objective may provably lie
+ROBUST_GAP_TOL = 1e-6
 
 
 @dataclass
@@ -71,8 +77,8 @@ class RecoveryProblem:
             raise ValueError(f"measurement vector length {self.b.size} != m={self.A.m}")
         if not np.all(np.isfinite(self.b)):
             raise ValueError("measurements must be finite")
-        if self.eta is not None and self.eta < 0:
-            raise ValueError("noise level eta must be nonnegative")
+        if self.eta is not None and not 0 <= self.eta < np.inf:
+            raise ValueError("noise level eta must be finite and nonnegative")
 
 
 @dataclass
@@ -82,6 +88,10 @@ class RecoveryReport:
     objective: float
     solver_status: str
     branch_chosen: str | None = None  # mibi_bp only
+    # robust_box_bp only: a proven bound on how far the objective lies above
+    # the optimum; None for the other programs, on robust_box_bp's LP path
+    # (eta = 0) and where no bound was found
+    optimality_gap: float | None = None
 
     @property
     def feasible(self) -> bool:
@@ -243,51 +253,61 @@ def box_ls(p: RecoveryProblem) -> RecoveryReport:
 def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
     """min ||x||_1  s.t.  ||Ax - b||_2 <= eta, x in [0,1]^N.
 
-    One SLSQP solve over z = (x, r): min 1.x s.t. Ax - r = b,
-    1 - ||r||^2/eta^2 >= 0, x in the box and r free, from the box-LS point.
-    Splitting off the residual r puts the ball's curvature on r alone,
-    where it is isotropic, so SLSQP's quasi-Newton model learns it in a few
-    steps; on x itself the ball's curvature is A^T A's, which it learns
-    slowly.  SLSQP runs with ``ftol`` 1e-10 and ``maxiter`` 2000.
+    A root-find on the Lagrangian, the Pareto-curve view of SPGL1 (van den
+    Berg and Friedlander, SIAM J. Sci. Comput. 31(2), 2008).  x(lam)
+    minimizes 0.5*||Ax - b||^2 + lam*1.x over the box: one ``solve_box_qp``
+    call, warm-started from the previous one's point.  Its residual
+    r(lam) = ||Ax(lam) - b|| is nondecreasing, from box-LS's at lam = 0 to
+    ||b|| from lam = max(A^T b) on, where x(lam) = 0.  The lam = 0 solve is
+    the feasibility test: r(0) > eta + 1e-7 is ``infeasible``.  Otherwise
+    scipy's brentq finds where r(lam) crosses eta, and the point returned
+    is the feasible end of its bracket, the largest lam solved with
+    r(lam) <= eta.  eta = 0 goes to box-BP's LP, and ||b|| <= eta returns
+    x = 0.
 
-    The status is ``optimal`` only when SLSQP reports success and the point,
-    clipped into the box, meets the ball to ROBUST_BALL_TOL; otherwise it is
-    ``max_iter`` when SLSQP hit its iteration limit and ``stalled`` when it
-    stopped for any other reason.
+    The status comes from a proof, Everett's Lagrangian sufficiency (Oper.
+    Res. 11(3), 1963).  With r = ||Ax - b|| and g = A^T(Ax - b) + lam*1,
+    every z in the box and the ball has 1.z >= 1.x - gap, where
+    gap = ((eta^2 - r^2)/2 + g.x - sum(min(g, 0))) / lam is the report's
+    ``optimality_gap`` (None when lam = 0).  ``optimal`` means lam > 0 and
+    gap <= ROBUST_GAP_TOL * max(1, 1.x); otherwise the status is
+    ``max_iter`` when brentq hit its iteration cap and ``stalled`` when it
+    did not.  With r(0) in [eta, eta + 1e-7] there is no bracket to
+    search, and the lam = 0 point comes back ``stalled``.
     """
     if p.eta is None:
         raise ValueError("robust_box_bp requires a noise level eta")
     eta = float(p.eta)
     A, b = p.A.entries, p.b
-    m, N = A.shape
+    N = A.shape[1]
     if eta == 0.0:
         # the ball degenerates to the equality constraint
         rep = _bp_lp(p, mirror=False)
         return RecoveryReport(rep.x_hat, "robust_box_bp", rep.objective, rep.solver_status)
-    # infeasible iff eta < dist(b, A [0,1]^N)
-    ls = solve_box_ls(A, b)
-    if ls.residual_norm > eta + 1e-7:
-        return RecoveryReport(None, "robust_box_bp", np.nan, "infeasible")
+    if np.linalg.norm(b) <= eta:
+        return RecoveryReport(np.zeros(N), "robust_box_bp", 0.0, "optimal", optimality_gap=0.0)
+    # lam -> (x(lam), r(lam)), in the order solved; x(lam) = 0 from lam_max on
+    lam_max = float(np.max(A.T @ b))
+    solved = {lam_max: (np.zeros(N), float(np.linalg.norm(b)))}
 
-    cost = np.concatenate([np.ones(N), np.zeros(m)])
-    eq_jac = np.hstack([A, -np.eye(m)])
-    zeros_x = np.zeros(N)
-    inv_eta2 = 1.0 / (eta * eta)
-    constraints = [
-        {"type": "eq", "fun": lambda z: A @ z[:N] - z[N:] - b, "jac": lambda z: eq_jac},
-        {"type": "ineq", "fun": lambda z: 1.0 - inv_eta2 * float(z[N:] @ z[N:]),
-         "jac": lambda z: np.concatenate([zeros_x, -2.0 * inv_eta2 * z[N:]])},
-    ]
-    res = minimize(lambda z: float(np.sum(z[:N])), np.concatenate([ls.x, A @ ls.x - b]),
-                   jac=lambda z: cost, method="SLSQP",
-                   bounds=[(0.0, 1.0)] * N + [(None, None)] * m,
-                   constraints=constraints, options={"ftol": 1e-10, "maxiter": 2000})
-    x = np.clip(res.x[:N], 0.0, 1.0)
-    if res.success and np.linalg.norm(A @ x - b) <= eta + ROBUST_BALL_TOL:
-        status = "optimal"
-    else:
-        status = "max_iter" if res.status == 9 else "stalled"
-    return RecoveryReport(x, "robust_box_bp", float(np.sum(x)), status)
+    def excess(lam):
+        if lam not in solved:
+            x = solve_box_qp(A, b, c=lam, x0=next(reversed(solved.values()))[0]).x
+            solved[lam] = x, float(np.linalg.norm(A @ x - b))
+        return solved[lam][1] - eta
+
+    # r(0) is box-LS's residual: infeasible iff eta < dist(b, A [0,1]^N)
+    if excess(0.0) > 1e-7:
+        return RecoveryReport(None, "robust_box_bp", np.nan, "infeasible")
+    capped = excess(0.0) < 0.0 and not brentq(excess, 0.0, lam_max, full_output=True,
+                                               disp=False)[1].converged
+    lam = max((lam for lam, (_, r) in solved.items() if r <= eta), default=0.0)
+    x, r = solved[lam]
+    g = A.T @ (A @ x - b) + lam
+    gap = float((eta * eta - r * r) / 2 + g @ x - np.minimum(g, 0).sum()) / lam if lam else None
+    status = ("optimal" if gap is not None and gap <= ROBUST_GAP_TOL * max(1.0, np.sum(x))
+              else "max_iter" if capped else "stalled")
+    return RecoveryReport(x, "robust_box_bp", float(np.sum(x)), status, optimality_gap=gap)
 
 
 def recovery_success(x_hat: np.ndarray | None, x0: BinarySignal | np.ndarray,

@@ -98,6 +98,42 @@ def test_solve_robust_bp_reports_optimal(capsys, tmp_path):
     assert json.loads(out)["status"] == "optimal"
 
 
+def test_solve_robust_bp_reports_its_optimality_gap(capsys, tmp_path):
+    mat = str(tmp_path / "A.txt")
+    sig = str(tmp_path / "x.txt")
+    run_cli(capsys, "gen-matrix", "--kind", "gaussian", "--m", "30", "--N", "40",
+            "--seed", "7", "--out", mat)
+    run_cli(capsys, "gen-signal", "--N", "40", "--k", "4", "--seed", "8", "--out", sig)
+    code, out = run_cli(capsys, "--json", "solve", "--program", "robust-bp",
+                        "--matrix", mat, "--signal", sig,
+                        "--noise-eps", "0.1", "--eta", "0.1")
+    payload = json.loads(out)
+    assert code == 0
+    assert 0.0 <= payload["optimality_gap"] <= 1e-6 * max(1.0, payload["objective"])
+    # the LP programs prove optimality by their solver and report no gap
+    code, out = run_cli(capsys, "--json", "solve", "--program", "box-bp",
+                        "--matrix", mat, "--signal", sig)
+    assert code == 0
+    assert "optimality_gap" not in json.loads(out)
+
+
+@pytest.mark.parametrize("flags", [("--noise-eps", "-0.1"), ("--noise-eps", "nan"),
+                                   ("--success-tol", "0"), ("--success-tol", "inf")])
+def test_phase_rejects_bad_noise_and_tolerance(capsys, flags):
+    code, _ = run_cli(capsys, "phase", "--N", "20", *flags, "--dry-run")
+    assert code == 1
+
+
+def test_solve_rejects_a_non_finite_eta(capsys, tmp_path):
+    mat = tmp_path / "A.txt"
+    mat.write_text("1 2\n1 1\n")
+    meas = tmp_path / "b.txt"
+    meas.write_text("1\n1\n")
+    code, _ = run_cli(capsys, "solve", "--program", "robust-bp", "--matrix", str(mat),
+                      "--measurements", str(meas), "--eta", "nan")
+    assert code == 1
+
+
 def test_solve_infeasible_exit_code(capsys, tmp_path):
     mat = tmp_path / "A.txt"
     mat.write_text("1 2\n1 1\n")

@@ -40,6 +40,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _small_config(m_fractions=[])
 
+    # caught when the config is built, not inside a pool worker
+    for bad in (dict(noise_eps=-0.1), dict(noise_eps=np.nan), dict(noise_eps=np.inf),
+                dict(success_tol=0.0), dict(success_tol=-1e-4), dict(success_tol=np.nan),
+                dict(success_tol=np.inf)):
+        with pytest.raises(ValueError):
+            _small_config(**bad)
+    assert _small_config(noise_eps=0.0).noise_eps == 0.0
+
 
 def test_trial_seed_mixing():
     seeds = {trial_seed(0, i, j, t) for i in range(4) for j in range(4) for t in range(4)}

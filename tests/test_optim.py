@@ -245,3 +245,27 @@ def test_box_ls_on_the_zero_matrix(shape):
                 box_ls_point(A, b, np.full(shape[1], 0.5))):
         assert res.status == "converged"
         assert np.all(np.isfinite(res.x)) and np.all((res.x >= 0) & (res.x <= 1))
+
+
+@pytest.mark.parametrize("c", [0.3, np.array([0.5, -0.2, 0.0, 1.5, 0.7])])
+def test_box_qp_linear_term(c):
+    # with A = I the minimizer of 0.5*||x - b||^2 + c.x over the box is
+    # clip(b - c); a scalar c stands for c*1
+    b = np.array([0.9, 0.4, 1.3, 0.8, -0.2])
+    res = solve_box_qp(np.eye(5), b, c=c)
+    assert res.status == "converged"
+    assert np.allclose(res.x, np.clip(b - c, 0.0, 1.0), atol=1e-12)
+    # the warm start changes the path, not the answer
+    again = solve_box_qp(np.eye(5), b, c=c, x0=np.full(5, 0.5))
+    assert np.allclose(again.x, res.x, atol=1e-12)
+
+
+def test_box_qp_polish_keeps_the_linear_term():
+    # the active-set polish solves the free block of the same objective
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((8, 5))
+    b = A @ np.full(5, 0.5)
+    qp = _BoxQp(A, b, 0.1)
+    x = qp.polish(np.full(5, 0.5))
+    assert qp.fixed_point(x, 1e-12)
+    assert np.allclose(A.T @ (A @ x - b) + 0.1, 0.0, atol=1e-12)

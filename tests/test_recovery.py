@@ -1,18 +1,20 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import nnls
+from scipy.optimize import brentq, nnls
 
+from binrec import recovery
 from binrec.analysis import ConeSpec, check_kernel_cone
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
 from binrec.experiments import desk_scale_config, sweep_trial
 from binrec.optim import LpProblem, SolverFailure, box_ls_point, solve_box_ls, solve_lp
-from binrec.recovery import (DEFAULT_SUCCESS_TOL, MIBI_TIE_TOL, RecoveryProblem,
-                             RecoveryReport, box_bp, box_bp_mirror, box_ls, mibi_bp,
-                             _candidate, recovery_success, robust_box_bp, round_to_binary,
-                             solve)
+from binrec.recovery import (DEFAULT_SUCCESS_TOL, MIBI_TIE_TOL, ROBUST_GAP_TOL,
+                             RecoveryProblem, RecoveryReport, box_bp, box_bp_mirror, box_ls,
+                             mibi_bp, _candidate, recovery_success, robust_box_bp,
+                             round_to_binary, solve)
 from oracles import robust_kkt_violations
 
 BALL_TOL = 1e-9
@@ -271,20 +273,72 @@ def test_robust_kkt_oracle_accepts_the_inactive_ball():
     assert max(robust_kkt_violations(A, b, 0.1, rep.x_hat).values()) == 0.0
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_optimal_robust_points_meet_box_and_ball(seed):
+def _tiny_robust_instance(seed):
+    """(A, b, eta) with m <= 6, N <= 8 and noise of norm at most eta."""
     rng = np.random.default_rng(seed)
     m, N = int(rng.integers(1, 7)), int(rng.integers(2, 9))
     A, x0 = _random_instance(rng, m, N, int(rng.integers(0, N + 1)))
     eta = float(rng.uniform(0.01, 1.0))
     noise = rng.standard_normal(m)
     b = A @ x0 + rng.uniform(0.0, 1.0) * eta * noise / max(np.linalg.norm(noise), 1e-12)
+    return A, b, eta
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_optimal_robust_points_meet_box_and_ball(seed):
+    A, b, eta = _tiny_robust_instance(seed)
     rep = robust_box_bp(RecoveryProblem(A, b, eta=eta))
     assert rep.solver_status in ("optimal", "max_iter", "stalled")
     if rep.solver_status == "optimal":
         assert np.all((rep.x_hat >= 0.0) & (rep.x_hat <= 1.0))
         assert np.linalg.norm(A @ rep.x_hat - b) <= eta + BALL_TOL
+
+
+def test_robust_points_are_proven_optimal_on_the_first_500_seeds():
+    # the tiny generator's first 500 seeds: every point is proven optimal
+    # by its own gap, lies in the ball and meets the KKT oracle
+    for seed in range(500):
+        A, b, eta = _tiny_robust_instance(seed)
+        rep = robust_box_bp(RecoveryProblem(A, b, eta=eta))
+        assert rep.solver_status == "optimal", seed
+        assert rep.optimality_gap <= ROBUST_GAP_TOL * max(1.0, rep.objective), seed
+        assert np.linalg.norm(A @ rep.x_hat - b) <= eta, seed
+        v = robust_kkt_violations(A, b, eta, rep.x_hat)
+        assert max(v.values()) <= 1e-6, (seed, v)
+
+
+@pytest.mark.parametrize("shape", [(8, 5), (5, 8)])
+def test_robust_eta_at_the_box_ls_residual(shape):
+    # b lies outside A[0,1]^N, so the ball meets the box in a sliver or not
+    # at all.  A residual r(0) up to 1e-7 above eta counts as feasible: no
+    # brentq bracket then exists, and the lam = 0 point comes back stalled.
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal(shape)
+    b = A @ rng.uniform(-0.5, 1.5, shape[1]) + 0.3 * rng.standard_normal(shape[0])
+    ls = solve_box_ls(A, b).residual_norm
+    assert ls > 0.1
+    assert robust_box_bp(RecoveryProblem(A, b, eta=ls - 1e-6)).solver_status == "infeasible"
+    for d in (-5e-8, -1e-9, 0.0, 1e-12, 1e-9, 1e-8, 1e-7):
+        eta = ls + d
+        rep = robust_box_bp(RecoveryProblem(A, b, eta=eta))
+        r = np.linalg.norm(A @ rep.x_hat - b)
+        assert rep.solver_status in ("optimal", "stalled"), d
+        assert r <= eta or (rep.solver_status == "stalled" and r <= eta + 1e-7), d
+        # once eta clears the lam = 0 solve's own error, brentq runs and
+        # returns the feasible end of its bracket
+        if d >= 1e-9:
+            assert r <= eta, d
+
+
+def test_robust_brentq_cap_gives_max_iter(monkeypatch):
+    monkeypatch.setattr(recovery, "brentq", functools.partial(brentq, maxiter=2))
+    A, b = _noisy_robust_instance(0, 0)
+    rep = robust_box_bp(RecoveryProblem(A, b, eta=0.1))
+    assert rep.solver_status == "max_iter"
+    # still the feasible end of the bracket, with its (too large) gap
+    assert np.linalg.norm(A @ rep.x_hat - b) <= 0.1
+    assert rep.optimality_gap > ROBUST_GAP_TOL * max(1.0, rep.objective)
 
 
 def test_box_ls_wrapper():
@@ -608,8 +662,9 @@ def test_solve_dispatch():
 def test_problem_validation():
     with pytest.raises(ValueError):
         RecoveryProblem(np.eye(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        RecoveryProblem(np.eye(3), np.zeros(3), eta=-1.0)
+    for eta in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            RecoveryProblem(np.eye(3), np.zeros(3), eta=eta)
     with pytest.raises(ValueError):
         RecoveryProblem(np.eye(2), np.array([0.0, np.nan]))
 
