@@ -170,7 +170,9 @@ def certificate_offset(mu: float, sigma: float) -> float:
 def build_dual_certificate(D, mu: float, sigma: float, J,
                            rho_override: float | None = None) -> np.ndarray:
     """The explicit candidate certificate rho*1 + D e - (1/m)<D e, 1> 1 with
-    e the indicator of J and default rho = ``certificate_offset(mu, sigma)``."""
+    e the indicator of J and default rho = ``certificate_offset(mu, sigma)``.
+    J must be nonempty, in range and free of repeats: the norm bound is
+    taken at |J|, and a repeated index would not count in e."""
     D = _entries(D)
     m, N = D.shape
     J = np.asarray(sorted(J), dtype=int)
@@ -178,6 +180,8 @@ def build_dual_certificate(D, mu: float, sigma: float, J,
         raise ValueError("certificate support J must be nonempty")
     if J[0] < 0 or J[-1] >= N:
         raise ValueError("support indices out of range")
+    if np.any(np.diff(J) == 0):
+        raise ValueError(f"certificate support J repeats an index: {J.tolist()}")
     rho = certificate_offset(mu, sigma) if rho_override is None else rho_override
     eps0 = np.zeros(N)
     eps0[J] = 1.0

@@ -75,6 +75,8 @@ class ExperimentConfig:
         bad = set(self.programs) - set(HARNESS_PROGRAMS)
         if bad:
             raise ValueError(f"unsupported programs: {sorted(bad)}")
+        if len(set(self.programs)) != len(self.programs):
+            raise ValueError(f"programs must not repeat: {list(self.programs)}")
 
 
 @dataclass
@@ -102,8 +104,10 @@ class PhaseDiagram:
     def rate(self, k_fraction: float, m_fraction: float, program: str) -> float:
         """Share of the cell's trials that ``program`` recovered.  The cell's
         records are found by grid position: distinct fractions can round to
-        the same (k, m)."""
+        the same (k, m).  A program the sweep did not run is a ValueError."""
         cfg = self.config
+        if program not in cfg.programs:
+            raise ValueError(f"program {program!r} not present in this diagram")
         cell = (cfg.k_fractions.index(k_fraction) * len(cfg.m_fractions)
                 + cfg.m_fractions.index(m_fraction))
         per_cell = cfg.trials * len(cfg.programs)
@@ -251,12 +255,10 @@ def read_csv(path: str) -> list:
 
 # --- SVG heatmap ----------------------------------------------------------
 
-def render_heatmap(diagram: PhaseDiagram, program: str, path: str,
-                   cell_px: int = 24) -> None:
+def render_heatmap(diagram: PhaseDiagram, program: str, path: str) -> None:
     """Standalone SVG: one grayscale rect per cell (white = rate 1, black = 0),
     k/N on the horizontal axis, m/N on the vertical axis, plus a legend."""
-    if program not in diagram.config.programs:
-        raise ValueError(f"program {program!r} not present in this diagram")
+    cell_px = 24
     kf = diagram.config.k_fractions
     mf = diagram.config.m_fractions
     nx, ny = len(kf), len(mf)

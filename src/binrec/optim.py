@@ -11,10 +11,7 @@ projected-gradient fixed-point test.
 scipy's L-BFGS-B, never polished: ``recovery.robust_box_bp`` calls it with
 c = lam*1, once per step of its root-find, and the acceptance tests call
 it with c = 0 as a multi-start uniqueness probe.  Both report convergence
-by the same fixed-point test, and ``box_ls_point`` applies that test to a
-given point with no solver run: ``recovery.box_ls`` uses it on box-BP's
-rounded point, which it returns when ``analysis.check_kernel_cone`` proves
-that point the unique minimizer.  ``lp_feasible`` has no library caller
+by the same fixed-point test.  ``lp_feasible`` has no library caller
 since that check left HiGHS for NNLS; it stays for the benchmark tracer's
 phase-1 probe and the tests' kernel-cone oracle.
 
@@ -216,30 +213,21 @@ class _BoxQp:
                            status="converged" if converged else "max_iter" if capped else "stalled")
 
 
-def solve_box_qp(A, b, c=0.0, tol=1e-10, max_iter=None, x0=None) -> BoxLsResult:
+def solve_box_qp(A, b, c=0.0, tol=1e-10, x0=None) -> BoxLsResult:
     """min 0.5*||Ax-b||^2 + c.x over [0,1]^N (``c`` a vector or a scalar
     for c*1), by scipy's L-BFGS-B from ``x0`` (the origin when None), with
-    no stop on the objective's progress and its projected-gradient stop at
-    ``tol``.  ``max_iter`` caps L-BFGS-B's iterations (50 N when None).
+    no stop on the objective's progress, its projected-gradient stop at
+    ``tol`` and a cap of 50 N iterations.
 
     The point is not polished: a multi-start caller sees tied optima as
     they are, where the polish would break ties toward on-bound points."""
     N = np.shape(A)[1]
-    max_iter = 50 * N if max_iter is None else max_iter
     x = np.clip(np.zeros(N) if x0 is None else np.asarray(x0, dtype=float), 0.0, 1.0)
     qp = _BoxQp(A, b, c, x)
     x, _, info = fmin_l_bfgs_b(qp.obj, x, fprime=qp.grad, bounds=[(0.0, 1.0)] * N,
-                               factr=0.0, pgtol=tol, maxiter=max_iter)
+                               factr=0.0, pgtol=tol, maxiter=50 * N)
     # L-BFGS-B's warnflag 1 is its iteration (or evaluation) limit
     return qp.result(qp.proj(x), info["nit"], tol, capped=info["warnflag"] == 1)
-
-
-def box_ls_point(A, b, x, tol=1e-10) -> BoxLsResult:
-    """``x``, clipped into [0,1]^N, judged by ``solve_box_ls``'s own test
-    with no solver run: ``converged`` when it passes the fixed-point test at
-    ``tol`` and ``stalled`` otherwise."""
-    qp = _BoxQp(A, b)
-    return qp.result(qp.proj(np.asarray(x, dtype=float)), 0, tol, capped=False)
 
 
 def solve_box_ls(A, b, tol=1e-10, max_iter=None) -> BoxLsResult:

@@ -16,9 +16,9 @@ box-LS; with the sum row as well, x is box-BP's unique optimum (and 1 - x
 plays that part for the mirror LP).  Otherwise HiGHS solves the LP.
 
 So on a wide A (m < N) ``box_ls`` returns box-BP's rounded point when it
-passes box-LS's fixed-point test and the same kernel-cone check proves it
-the unique minimizer, and runs the least-squares solver only otherwise;
-with m >= N or a noisy b the solver is direct.
+fits b and the same kernel-cone check proves it the only point of the box
+that does, hence box-LS's unique minimizer, and runs the least-squares
+solver only otherwise; with m >= N or a noisy b the solver is direct.
 
 The noisy program, ``robust_box_bp``, is box-constrained least squares
 again: its Lagrangian adds lam*1.x to box-LS's objective, so a root-find
@@ -35,8 +35,7 @@ from scipy.optimize import brentq, nnls
 
 from .analysis import ConeSpec, check_kernel_cone
 from .ensembles import BinarySignal, DenseMatrix
-from .optim import (TOL_FEAS, LpProblem, SolverFailure, box_ls_point, solve_box_ls,
-                    solve_box_qp, solve_lp)
+from .optim import TOL_FEAS, LpProblem, SolverFailure, solve_box_ls, solve_box_qp, solve_lp
 
 DEFAULT_SUCCESS_TOL = 1e-4
 
@@ -104,12 +103,17 @@ def _bp_lp(p: RecoveryProblem, mirror: bool) -> RecoveryReport:
     return p._bp_reports[mirror]
 
 
+def _fits(p: RecoveryProblem, x: np.ndarray) -> bool:
+    """Every row of Ax - b lies within TOL_FEAS * max(1, |b|_inf)."""
+    tol = TOL_FEAS * max(1.0, float(np.max(np.abs(p.b))))
+    return bool(np.max(np.abs(p.A.entries @ x - p.b)) <= tol)
+
+
 def _candidate(p: RecoveryProblem, saturated: bool) -> np.ndarray | None:
     """A binary point from one NNLS solve, computed once per problem: the
     rounding of nnls(A, b) clipped to the box, or with ``saturated``
-    1 - that rounding for nnls(A, A1 - b).  None when some row of Ax - b
-    exceeds TOL_FEAS * max(1, |b|_inf), or when NNLS hits its iteration
-    cap."""
+    1 - that rounding for nnls(A, A1 - b).  None when it does not fit b
+    (``_fits``), or when NNLS hits its iteration cap."""
     if saturated not in p._candidates:
         A, b = p.A.entries, p.b
         x = None
@@ -122,7 +126,7 @@ def _candidate(p: RecoveryProblem, saturated: bool) -> np.ndarray | None:
             x = round_to_binary(np.clip(z, 0.0, 1.0)).astype(float)
             if saturated:
                 x = 1.0 - x
-            if np.max(np.abs(A @ x - b)) > TOL_FEAS * max(1.0, float(np.max(np.abs(b)))):
+            if not _fits(p, x):
                 x = None
         p._candidates[saturated] = x
     return p._candidates[saturated]
@@ -195,19 +199,21 @@ def mibi_bp(p: RecoveryProblem) -> RecoveryReport:
     box_bp_mirror's points is closest to its own integer rounding (ties, to
     within MIBI_TIE_TOL, go to the plain branch).
 
-    The mirror branch wins only by more than MIBI_TIE_TOL, so it cannot win
-    against a plain point within MIBI_TIE_TOL of its rounding; the mirror LP
-    is solved only when the plain point is farther than that, or missing."""
+    The two LPs share one feasible set, so an infeasible plain LP settles
+    the problem as ``infeasible`` without the mirror LP.  The mirror branch
+    wins only by more than MIBI_TIE_TOL, so it cannot win against a plain
+    point within MIBI_TIE_TOL of its rounding; the mirror LP is solved only
+    when the plain point is farther than that."""
 
     def gap(r):
         return np.inf if r.x_hat is None else float(np.linalg.norm(round_to_binary(r.x_hat) - r.x_hat))
 
     plain = _bp_lp(p, mirror=False)
+    if plain.x_hat is None:
+        return RecoveryReport(None, "mibi_bp", np.nan, plain.solver_status)
     best, branch = plain, "plain"
     if gap(plain) > MIBI_TIE_TOL:
         mirrored = _bp_lp(p, mirror=True)
-        if plain.x_hat is None and mirrored.x_hat is None:
-            return RecoveryReport(None, "mibi_bp", np.nan, "infeasible")
         if gap(mirrored) < gap(plain) - MIBI_TIE_TOL:
             best, branch = mirrored, "mirror"
     return RecoveryReport(best.x_hat, "mibi_bp", best.objective, "optimal", branch_chosen=branch)
@@ -220,18 +226,19 @@ def box_ls(p: RecoveryProblem) -> RecoveryReport:
 
     When A is wide (m < N) and b is noiseless (``p.eta`` None or 0),
     box-BP's point (the problem's cached one) is rounded to a binary x.
-    If x passes ``solve_box_ls``'s fixed-point test at its default
-    tolerance, it is a minimizer.  If moreover ker(A) meets the cone of the
-    box's feasible directions at the vertex x trivially
-    (``check_kernel_cone`` on the sign cone of x's support, a verdict that
-    box-BP's certification may already have cached), then x is the only
-    point z of the box with Az = Ax.  Every minimizer has the same Az,
-    since the objective is strictly convex in Az, so x is the unique
-    minimizer and is returned as ``converged``.  Otherwise, or when a solver
-    stops without a verdict, ``solve_box_ls`` runs.  The shortcut is not
-    tried with m >= N, where the solver runs BVLS directly on a full-rank A,
-    nor on noisy b (``p.eta`` > 0), where Ax = b almost never has a point in
-    the box and box-BP's LP would be infeasible or, rounded, no minimizer.
+    If x fits b, every row of Ax - b within TOL_FEAS * max(1, |b|_inf) as
+    for box-BP's candidates, it attains the least residual to that
+    tolerance.  If moreover ker(A) meets the cone of the box's feasible
+    directions at the vertex x trivially (``check_kernel_cone`` on the sign
+    cone of x's support, a verdict that box-BP's certification may already
+    have cached), then x is the only point z of the box with Az = Ax.
+    Every minimizer has the same Az, since the objective is strictly convex
+    in Az, so x is the unique minimizer and is returned as ``converged``,
+    with no solver run.  Otherwise, or when a solver stops without a
+    verdict, ``solve_box_ls`` runs.  The shortcut is not tried with
+    m >= N, where the solver runs BVLS directly on a full-rank A, nor on
+    noisy b (``p.eta`` > 0), where Ax = b almost never has a point in the
+    box and box-BP's LP would be infeasible or, rounded, no minimizer.
     On a noiseless problem where box-BP has not run, the shortcut runs it:
     its NNLS candidates and, when neither is certified, its LP.
     """
@@ -241,9 +248,10 @@ def box_ls(p: RecoveryProblem) -> RecoveryReport:
         try:
             bp = _bp_lp(p, mirror=False)
             if bp.x_hat is not None:
-                res = box_ls_point(A, p.b, round_to_binary(bp.x_hat))
-                if res.converged and _cone_holds(p, np.flatnonzero(res.x)):
-                    return RecoveryReport(res.x, "box_ls", res.residual_norm, res.status)
+                x = round_to_binary(bp.x_hat).astype(float)
+                if _fits(p, x) and _cone_holds(p, np.flatnonzero(x)):
+                    return RecoveryReport(x, "box_ls", float(np.linalg.norm(A @ x - p.b)),
+                                          "converged")
         except SolverFailure:
             pass
     res = solve_box_ls(A, p.b)
@@ -292,8 +300,8 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
 
     def excess(lam):
         if lam not in solved:
-            x = solve_box_qp(A, b, c=lam, x0=next(reversed(solved.values()))[0]).x
-            solved[lam] = x, float(np.linalg.norm(A @ x - b))
+            res = solve_box_qp(A, b, c=lam, x0=next(reversed(solved.values()))[0])
+            solved[lam] = res.x, res.residual_norm
         return solved[lam][1] - eta
 
     # r(0) is box-LS's residual: infeasible iff eta < dist(b, A [0,1]^N)

@@ -63,7 +63,13 @@ def _tail_high(tau: float) -> float:
 
 def delta_bin(k: float, N: float) -> float:
     """Gaussian sample-complexity curve for box-constrained basis pursuit at
-    sparsity k: inf over tau >= 0 of k*L(tau) + (N-k)*U(tau)."""
+    sparsity k: inf over tau >= 0 of k*L(tau) + (N-k)*U(tau).
+
+    L and U are truncated second moments, convex in tau, so one bounded
+    Brent search over [0, 20] finds the minimum.  Its slope at tau = 0 is
+    2 phi(0) (2k - N), so for k > N/2 the minimum is the endpoint value
+    N/2, which bounded Brent never evaluates: the result is the smaller of
+    Brent's value and the objective at 0."""
     if not 0 <= k <= N:
         raise ValueError(f"k={k} must lie in [0, N={N}]")
     if N == 0:
@@ -72,14 +78,8 @@ def delta_bin(k: float, N: float) -> float:
     def objective(tau):
         return k * _tail_low(tau) + (N - k) * _tail_high(tau)
 
-    # coarse bracket on a 0.1 grid over [0, 20], then bounded Brent
-    grid = [i / 10.0 for i in range(201)]
-    vals = [objective(t) for t in grid]
-    i = min(range(len(grid)), key=vals.__getitem__)
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-    return min(res.fun, vals[i])
+    res = minimize_scalar(objective, bounds=(0.0, 20.0), method="bounded", options={"xatol": 1e-10})
+    return min(res.fun, objective(0.0))
 
 
 def _binomial_head(n: int, r: int) -> int:

@@ -270,6 +270,9 @@ def test_certificate_domain_errors():
     assert np.allclose(nu, -1.0)
     with pytest.raises(ValueError):
         build_dual_certificate(np.zeros((2, 3)), 0.5, 0.5, [])
+    # J = [1, 1, 2] would build J = {1, 2}'s certificate under |J| = 3
+    with pytest.raises(ValueError, match="repeats"):
+        build_dual_certificate(np.zeros((2, 3)), 0.5, 0.5, [1, 1, 2])
 
 
 def test_verify_certificate_hand_example():

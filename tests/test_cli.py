@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +126,12 @@ def test_phase_rejects_bad_noise_and_tolerance(capsys, flags):
     assert code == 1
 
 
+def test_phase_rejects_a_repeated_program(capsys):
+    code, _ = run_cli(capsys, "phase", "--N", "10", "--grid-step", "0.5", "--trials", "2",
+                      "--programs", "box_bp,box_bp", "--dry-run")
+    assert code == 1
+
+
 def test_solve_rejects_a_non_finite_eta(capsys, tmp_path):
     mat = tmp_path / "A.txt"
     mat.write_text("1 2\n1 1\n")
@@ -241,6 +249,13 @@ def test_certificate_reports_norm_bounds(capsys):
             "norm_bound_stated", "norm_bound_proof"} <= set(payload)
 
 
+def test_certificate_rejects_a_repeated_support_index(capsys):
+    # --support 1,1,2 would report the |J| = 3 norm bound for J = {1, 2}
+    code, out = run_cli(capsys, "--json", "certificate", "--m", "200", "--N", "20",
+                        "--support", "1,1,2", "--seed", "3")
+    assert code == 1 and out == ""
+
+
 def test_domain_error_exit_code(capsys):
     code, _ = run_cli(capsys, "theory", "--formula", "delta-bin",
                       "--k", "20", "--N", "10")
@@ -258,3 +273,16 @@ def test_invalid_thread_cap_exit_code(capsys, monkeypatch, tmp_path, threads):
 
 def test_unknown_flag_exit_code(capsys):
     assert main(["theory", "--formula", "delta-bin", "--frobnicate"]) == 1
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
+    # the first sh block under README's "## CLI": each documented command
+    # runs, in order, in a scratch directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert len(commands) == 6 and all(argv[0] == "binrec" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _ = run_cli(capsys, *argv[1:])
+        assert code == 0, argv

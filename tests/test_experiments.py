@@ -35,6 +35,9 @@ def test_config_validation():
         _small_config(m_fractions=[0.0, 0.5])
     with pytest.raises(ValueError):
         _small_config(programs=("box_bp", "omp"))
+    # a program listed twice would count its successes twice in every cell
+    with pytest.raises(ValueError, match="repeat"):
+        _small_config(programs=("box_bp", "box_bp"))
     with pytest.raises(ValueError):
         _small_config(k_fractions=[])
     with pytest.raises(ValueError):
@@ -189,6 +192,9 @@ def test_rate_reads_each_cells_own_trials():
     assert [d.rate(f, 0.5, "box_ls") for f in cfg.k_fractions] == [1, 2 / 3, 1 / 3]
     with pytest.raises(ValueError):
         PhaseDiagram(cfg, records[:-1]).rate(0.15, 0.5, "box_bp")
+    # a program the sweep did not run has no rate, not a rate of 0
+    with pytest.raises(ValueError, match="not present"):
+        d.rate(0.15, 0.5, "mibi_bp")
 
 
 def test_heatmap_wellformed_xml_with_axes(tmp_path):
@@ -202,6 +208,7 @@ def test_heatmap_wellformed_xml_with_axes(tmp_path):
     assert "k/N" in text and "m/N" in text
     with pytest.raises(ValueError):
         render_heatmap(d, "box_ls", str(tmp_path / "bad.svg"))
+    assert not (tmp_path / "bad.svg").exists()
 
 
 def test_run_cell_solves_each_lp_once_per_trial(monkeypatch):

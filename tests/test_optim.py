@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from binrec.analysis import ConeSpec, check_kernel_cone
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_sparse_binary
-from binrec.optim import (LpProblem, SolverFailure, TOL_FEAS, _BoxQp, box_ls_point,
-                          lp_feasible, solve_box_ls, solve_box_qp, solve_lp)
+from binrec.optim import (LpProblem, SolverFailure, TOL_FEAS, _BoxQp, lp_feasible,
+                          solve_box_ls, solve_box_qp, solve_lp)
 
 from oracles import (box_qp_kkt_violations, enumerate_lp_optimum, lp_kkt_violations,
                      random_bounded_lp)
@@ -241,8 +241,7 @@ def test_box_ls_on_the_zero_matrix(shape):
     # eigenvalue to set the fixed-point test's step from
     A = np.zeros(shape)
     b = np.ones(shape[0])
-    for res in (solve_box_ls(A, b), solve_box_qp(A, b),
-                box_ls_point(A, b, np.full(shape[1], 0.5))):
+    for res in (solve_box_ls(A, b), solve_box_qp(A, b)):
         assert res.status == "converged"
         assert np.all(np.isfinite(res.x)) and np.all((res.x >= 0) & (res.x <= 1))
 

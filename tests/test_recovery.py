@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from binrec import recovery
 from binrec.analysis import ConeSpec, check_kernel_cone
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
 from binrec.experiments import desk_scale_config, sweep_trial
-from binrec.optim import LpProblem, SolverFailure, box_ls_point, solve_box_ls, solve_lp
+from binrec.optim import LpProblem, SolverFailure, solve_box_ls, solve_lp
 from binrec.recovery import (DEFAULT_SUCCESS_TOL, MIBI_TIE_TOL, ROBUST_GAP_TOL,
                              RecoveryProblem, RecoveryReport, box_bp, box_bp_mirror, box_ls,
                              mibi_bp, _candidate, recovery_success, robust_box_bp,
                              round_to_binary, solve)
-from oracles import robust_kkt_violations
+from oracles import box_qp_kkt_violations, robust_kkt_violations
 
 BALL_TOL = 1e-9
 
@@ -47,6 +48,15 @@ def test_box_bp_infeasible_status_not_exception():
     rep = box_bp(RecoveryProblem(A, np.array([5.0])))  # max of Ax on box is 2
     assert rep.solver_status == "infeasible"
     assert rep.x_hat is None
+
+
+def test_mibi_infeasible_problem_runs_one_lp(monkeypatch):
+    # the two LPs share one feasible set, so the plain LP's verdict settles
+    # the problem and the mirror LP is not solved
+    calls = _counting_solve_lp(monkeypatch)
+    rep = mibi_bp(RecoveryProblem(np.array([[1.0, 1.0]]), np.array([3.0])))
+    assert rep.solver_status == "infeasible" and rep.x_hat is None
+    assert len(calls) == 1
 
 
 def test_noiseless_programs_ignore_eta():
@@ -349,9 +359,9 @@ def test_box_ls_wrapper():
     assert np.linalg.norm(rep.x_hat - x0) <= 1e-6
 
 
-def _desk_sweep_config(master_seed):
+def _desk_sweep_config(master_seed, kind="biased"):
     # the desk preset on the benchmark's desk-sweep sub-grid
-    return dataclasses.replace(desk_scale_config(master_seed),
+    return dataclasses.replace(desk_scale_config(master_seed, kind),
                                k_fractions=[0.1, 0.2, 0.8, 0.9], m_fractions=[0.3, 0.4, 0.5])
 
 
@@ -467,14 +477,62 @@ def test_box_ls_runs_the_solver_when_the_cone_check_fails(monkeypatch):
 
 
 def test_box_ls_shortcut_declines_a_binary_point_without_the_cone():
-    # the trial of the "stalled" test above: box-BP's point is x0 and passes
-    # the fixed-point test, but ker(A) meets its cone, so x0 is not the only
-    # minimizer and the shortcut must not return it
+    # the trial of the "stalled" test above: box-BP's point is x0 and fits
+    # b, but ker(A) meets its cone, so x0 is not the only minimizer and the
+    # shortcut must not return it
     _, A, x0, b = sweep_trial(_desk_sweep_config(12), 0, 0, 5)
     x = round_to_binary(box_bp(RecoveryProblem(A, b)).x_hat)
     assert np.array_equal(x, x0.dense())
-    assert box_ls_point(A.entries, b, x).converged
+    assert np.array_equal(A.entries @ x, b)
     assert not check_kernel_cone(A, ConeSpec.sign_cone(A.N, x0.support)).holds
+
+
+def test_box_ls_shortcut_declines_a_point_that_does_not_fit(monkeypatch):
+    # x1 + x2 = 0.4: box-BP's vertex rounds to 0, whose cone (the
+    # nonnegative orthant) meets ker(A) trivially, but A0 != b, so the
+    # solver answers
+    calls = _counting_solve_box_ls(monkeypatch)
+    A, b = np.array([[1.0, 1.0]]), np.array([0.4])
+    p = RecoveryProblem(A, b)
+    assert np.array_equal(round_to_binary(box_bp(p).x_hat), [0, 0])
+    assert check_kernel_cone(A, ConeSpec.sign_cone(2, [])).holds
+    rep = box_ls(p)
+    assert len(calls) == 1
+    assert np.array_equal(rep.x_hat, solve_box_ls(A, b).x)
+    assert rep.objective <= 1e-9
+
+
+class _SolverRan(Exception):
+    pass
+
+
+def test_box_ls_shortcut_points_are_kkt_points_and_the_signal(monkeypatch):
+    # every point the shortcut returns on the biased and Gaussian desk-sweep
+    # sub-grids, master seeds 1-5, 8 trials a cell, meets the box-LS KKT
+    # conditions and is the signal itself.  Only the shortcut's points are
+    # checked, so the solver is stubbed out.
+    import binrec.recovery
+
+    def solver(*args, **kwargs):
+        raise _SolverRan
+
+    monkeypatch.setattr(binrec.recovery, "solve_box_ls", solver)
+    shortcuts = 0
+    for kind, seed in itertools.product(("biased", "gaussian"), range(1, 6)):
+        cfg = dataclasses.replace(_desk_sweep_config(seed, kind), trials=8)
+        for i, j, t in itertools.product(range(len(cfg.k_fractions)),
+                                         range(len(cfg.m_fractions)), range(cfg.trials)):
+            _, A, x0, b = sweep_trial(cfg, i, j, t)
+            try:
+                rep = box_ls(RecoveryProblem(A, b))
+            except _SolverRan:
+                continue
+            shortcuts += 1
+            assert rep.solver_status == "converged"
+            violations = box_qp_kkt_violations(A.entries, b, 0.0, 1.0, rep.x_hat)
+            assert max(violations.values()) <= 1e-8, (kind, seed, i, j, t)
+            assert np.array_equal(rep.x_hat, x0.dense())
+    assert shortcuts > 0
 
 
 def _counting_solve_lp(monkeypatch):

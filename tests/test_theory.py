@@ -79,6 +79,16 @@ def test_delta_bin_special_values():
         delta_bin(11, 10)
 
 
+def test_delta_bin_is_half_n_for_k_above_half():
+    # the objective's slope at tau = 0 is 2 phi(0) (2k - N): for k > N/2
+    # its minimum is the endpoint value N/2, exactly
+    for N in (10, 100, 200, 500):
+        assert all(delta_bin(k, N) == N / 2 for k in range(N // 2 + 1, N + 1)), N
+        # at k = N/2 the slope vanishes, and Brent's value may round a few
+        # ulps below N/2
+        assert delta_bin(N // 2, N) == pytest.approx(N / 2, rel=0, abs=1e-12)
+
+
 def test_delta_bin_matches_quadrature_minimization():
     # independent evaluation: minimize the quadrature objective on a fine grid
     N = 100
