@@ -193,16 +193,22 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers, initializer=_one_fill_thread)
 
 
-def run_phase_transition(config: ExperimentConfig) -> PhaseDiagram:
+def _map_cells(fn, config: ExperimentConfig) -> list:
+    """fn((config, i, j)) for every grid cell (i, j), in row-major order,
+    on a pool of ``_thread_cap()`` worker processes, or in this process
+    when that is one.  fn must be picklable."""
     tasks = [(config, i, j)
              for i in range(len(config.k_fractions))
              for j in range(len(config.m_fractions))]
     workers = min(_thread_cap(), len(tasks))
     if workers > 1:
         with _worker_pool(workers) as pool:
-            per_cell = list(pool.map(_worker, tasks))
-    else:
-        per_cell = [run_cell(*t) for t in tasks]
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
+def run_phase_transition(config: ExperimentConfig) -> PhaseDiagram:
+    per_cell = _map_cells(_worker, config)
     return PhaseDiagram(config, [r for cell in per_cell for r in cell])
 
 

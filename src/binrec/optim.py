@@ -9,7 +9,8 @@ which is polished by an active-set step when its point misses the
 projected-gradient fixed-point test.
 ``solve_box_qp`` solves the same program plus a linear term c.x by
 scipy's L-BFGS-B, never polished: ``recovery.robust_box_bp`` calls it with
-c = lam*1, once per step of its root-find, and the acceptance tests call
+c = lam*1, once for lam = 0 and then once per probe of its search over
+lam, and the acceptance tests call
 it with c = 0 as a multi-start uniqueness probe.  Both report convergence
 by the same fixed-point test.  ``lp_feasible`` has no library caller
 since that check left HiGHS for NNLS; it stays for the benchmark tracer's

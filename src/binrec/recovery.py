@@ -21,9 +21,12 @@ that does, hence box-LS's unique minimizer, and runs the least-squares
 solver only otherwise; with m >= N or a noisy b the solver is direct.
 
 The noisy program, ``robust_box_bp``, is box-constrained least squares
-again: its Lagrangian adds lam*1.x to box-LS's objective, so a root-find
-over lam on ``optim.solve_box_qp`` solves it, and Lagrangian sufficiency
-bounds how far its answer can lie from the optimum.
+again: its Lagrangian adds lam*1.x to box-LS's objective.  The minimizer
+x(lam) moves linearly in lam between changes of its active set, so a few
+``optim.solve_box_qp`` solves find the piece of that path where the
+residual crosses the noise ball, one linear solve on the piece's free
+coordinates finds the crossing, and Lagrangian sufficiency proves how far
+its point can lie from the optimum.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, nnls
+from scipy.optimize import nnls
 
 from .analysis import ConeSpec, check_kernel_cone
 from .ensembles import BinarySignal, DenseMatrix
@@ -48,6 +51,15 @@ MIBI_TIE_TOL = 1e-7
 # how far above the optimum, relative to max(1, 1.x), an ``optimal``
 # robust_box_bp objective may provably lie
 ROBUST_GAP_TOL = 1e-6
+
+# robust_box_bp's cap on box-QP probes after the lam = 0 solve
+_MAX_PROBES = 100
+# its piece step aims this far inside the ball, relative to eta, so that the
+# rounding of Ax - b does not leave the step's point just outside; and it
+# takes coordinates this close to a bound to sit on it, since L-BFGS-B's
+# projected-gradient stop cannot tell them from the bound
+_AIM = 1e-12
+_BOUND_TOL = 1e-9
 
 
 @dataclass
@@ -261,27 +273,38 @@ def box_ls(p: RecoveryProblem) -> RecoveryReport:
 def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
     """min ||x||_1  s.t.  ||Ax - b||_2 <= eta, x in [0,1]^N.
 
-    A root-find on the Lagrangian, the Pareto-curve view of SPGL1 (van den
-    Berg and Friedlander, SIAM J. Sci. Comput. 31(2), 2008).  x(lam)
-    minimizes 0.5*||Ax - b||^2 + lam*1.x over the box: one ``solve_box_qp``
-    call, warm-started from the previous one's point.  Its residual
-    r(lam) = ||Ax(lam) - b|| is nondecreasing, from box-LS's at lam = 0 to
-    ||b|| from lam = max(A^T b) on, where x(lam) = 0.  The lam = 0 solve is
-    the feasibility test: r(0) > eta + 1e-7 is ``infeasible``.  Otherwise
-    scipy's brentq finds where r(lam) crosses eta, and the point returned
-    is the feasible end of its bracket, the largest lam solved with
-    r(lam) <= eta.  eta = 0 goes to box-BP's LP, and ||b|| <= eta returns
-    x = 0.
+    A search for the Lagrange multiplier, the Pareto-curve view of SPGL1
+    (van den Berg and Friedlander, SIAM J. Sci. Comput. 31(2), 2008).
+    x(lam) minimizes 0.5*||Ax - b||^2 + lam*1.x over the box.  Its
+    residual r(lam) = ||Ax(lam) - b|| is nondecreasing, from box-LS's at
+    lam = 0 to ||b|| from lam = max(A^T b) on, where x(lam) = 0.  The path
+    x(lam) is piecewise linear, so r(lam)^2 is piecewise quadratic and one
+    linear solve finds where a piece crosses the ball.
+
+    The lam = 0 solve (``solve_box_qp``) is the feasibility test:
+    r(0) > eta + 1e-7 is ``infeasible``.  Then each step takes the
+    coordinates of the last solve's point more than 1e-9 inside the box as
+    the free set of its piece of the path, solves the free block for x(lam)
+    along the whole piece and steps to the lam where the residual meets the
+    ball, aimed a relative 1e-12 inside it (``_piece_root``).  The step's
+    point is returned when Everett's bound below proves it.  Otherwise a
+    probe, one ``solve_box_qp`` call warm-started from the last one's
+    point, solves x(lam) at the step's lam if that lies strictly inside the
+    bracket (the largest lam probed with r <= eta, the smallest with
+    r > eta), else at the bracket's midpoint, and the next step starts from
+    there.  eta = 0 goes to box-BP's LP, and ||b|| <= eta returns x = 0.
 
     The status comes from a proof, Everett's Lagrangian sufficiency (Oper.
-    Res. 11(3), 1963).  With r = ||Ax - b|| and g = A^T(Ax - b) + lam*1,
-    every z in the box and the ball has 1.z >= 1.x - gap, where
+    Res. 11(3), 1963).  For a point x of the box with r = ||Ax - b|| <= eta,
+    any lam > 0 and g = A^T(Ax - b) + lam*1, every z in the box and the ball
+    has 1.z >= 1.x - gap, where
     gap = ((eta^2 - r^2)/2 + g.x - sum(min(g, 0))) / lam is the report's
-    ``optimality_gap`` (None when lam = 0).  ``optimal`` means lam > 0 and
-    gap <= ROBUST_GAP_TOL * max(1, 1.x); otherwise the status is
-    ``max_iter`` when brentq hit its iteration cap and ``stalled`` when it
-    did not.  With r(0) in [eta, eta + 1e-7] there is no bracket to
-    search, and the lam = 0 point comes back ``stalled``.
+    ``optimality_gap``.  ``optimal`` means gap <= ROBUST_GAP_TOL *
+    max(1, 1.x) at the step's lam.  After _MAX_PROBES probes without a
+    proof the status is ``max_iter``, with the bracket's feasible end and
+    its gap (None at lam = 0).  With r(0) in [eta*(1 - 1e-12), eta + 1e-7]
+    there is no room to aim inside the ball, and the lam = 0 point comes
+    back ``stalled``.
     """
     if p.eta is None:
         raise ValueError("robust_box_bp requires a noise level eta")
@@ -294,28 +317,72 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
         return RecoveryReport(rep.x_hat, "robust_box_bp", rep.objective, rep.solver_status)
     if np.linalg.norm(b) <= eta:
         return RecoveryReport(np.zeros(N), "robust_box_bp", 0.0, "optimal", optimality_gap=0.0)
-    # lam -> (x(lam), r(lam)), in the order solved; x(lam) = 0 from lam_max on
-    lam_max = float(np.max(A.T @ b))
-    solved = {lam_max: (np.zeros(N), float(np.linalg.norm(b)))}
-
-    def excess(lam):
-        if lam not in solved:
-            res = solve_box_qp(A, b, c=lam, x0=next(reversed(solved.values()))[0])
-            solved[lam] = res.x, res.residual_norm
-        return solved[lam][1] - eta
-
     # r(0) is box-LS's residual: infeasible iff eta < dist(b, A [0,1]^N)
-    if excess(0.0) > 1e-7:
+    res = solve_box_qp(A, b)
+    x, r = res.x, res.residual_norm
+    if r > eta + 1e-7:
         return RecoveryReport(None, "robust_box_bp", np.nan, "infeasible")
-    capped = excess(0.0) < 0.0 and not brentq(excess, 0.0, lam_max, full_output=True,
-                                               disp=False)[1].converged
-    lam = max((lam for lam, (_, r) in solved.items() if r <= eta), default=0.0)
-    x, r = solved[lam]
-    g = A.T @ (A @ x - b) + lam
-    gap = float((eta * eta - r * r) / 2 + g @ x - np.minimum(g, 0).sum()) / lam if lam else None
-    status = ("optimal" if gap is not None and gap <= ROBUST_GAP_TOL * max(1.0, np.sum(x))
-              else "max_iter" if capped else "stalled")
-    return RecoveryReport(x, "robust_box_bp", float(np.sum(x)), status, optimality_gap=gap)
+    if r >= eta * (1.0 - _AIM):
+        # no room to aim inside the ball: the lam = 0 point is all there is
+        return RecoveryReport(x, "robust_box_bp", float(np.sum(x)), "stalled")
+    # r(lo) <= eta < r(hi), with x_lo = x(lo); x(lam) = 0 from max(A^T b) on
+    lo, hi, x_lo = 0.0, float(np.max(A.T @ b)), x
+    for _ in range(_MAX_PROBES):
+        step = _piece_root(A, b, eta, x)
+        if step is not None:
+            lam, xc = step
+            rc, gap = _everett(A, b, eta, lam, xc)
+            if rc <= eta and gap <= ROBUST_GAP_TOL * max(1.0, np.sum(xc)):
+                return RecoveryReport(xc, "robust_box_bp", float(np.sum(xc)), "optimal",
+                                      optimality_gap=gap)
+        if step is None or not lo < lam < hi:
+            lam = (lo + hi) / 2
+        res = solve_box_qp(A, b, c=lam, x0=x)
+        x = res.x
+        if res.residual_norm <= eta:
+            lo, x_lo = lam, x
+        else:
+            hi = lam
+    gap = _everett(A, b, eta, lo, x_lo)[1] if lo else None
+    return RecoveryReport(x_lo, "robust_box_bp", float(np.sum(x_lo)), "max_iter",
+                          optimality_gap=gap)
+
+
+def _everett(A, b, eta, lam, x):
+    """(r, gap) at a point x of the box and lam > 0: its residual
+    r = ||Ax - b|| and Everett's bound on how far 1.x lies above the
+    optimum, valid when r <= eta (see ``robust_box_bp``)."""
+    res = A @ x - b
+    r = float(np.linalg.norm(res))
+    g = A.T @ res + lam
+    return r, float((eta * eta - r * r) / 2 + g @ x - np.minimum(g, 0).sum()) / lam
+
+
+def _piece_root(A, b, eta, x):
+    """(lam, x(lam)) where the path's piece through x meets the ball, or
+    None when it does not.  On the piece, the coordinates of x more than
+    _BOUND_TOL inside the box (F) are free and the others sit on their
+    bounds (B).  With B snapped onto them and r = Ax - b, the free block's
+    normal equations give x_F(lam) = x_F + e + lam*d, the solution nearest
+    x_F of A_F^T A_F (x_F(lam) - x_F) = -A_F^T r - lam*1 (the least-norm
+    one, should A_F be singular), so ||Ax(lam) - b||^2 is a quadratic in
+    lam.  Its positive root at eta*(1 - _AIM) is returned, with x(lam)
+    clipped to the box."""
+    free = (x > _BOUND_TOL) & (x < 1.0 - _BOUND_TOL)
+    if not free.any():
+        return None
+    xc = np.where(free, x, np.round(x))
+    r = A @ xc - b
+    Af = A[:, free]
+    e, d = np.linalg.lstsq(Af.T @ Af, -np.column_stack([Af.T @ r, np.ones(Af.shape[1])]),
+                           rcond=None)[0].T
+    rp, v = r + Af @ e, Af @ d
+    a, beta, c = v @ v, rp @ v, rp @ rp - (eta * (1.0 - _AIM)) ** 2
+    if not (a > 0.0 and c < 0.0):
+        return None
+    lam = float((np.sqrt(beta * beta - a * c) - beta) / a)
+    xc[free] = np.clip(x[free] + e + lam * d, 0.0, 1.0)
+    return lam, xc
 
 
 def recovery_success(x_hat: np.ndarray | None, x0: BinarySignal | np.ndarray,

@@ -14,6 +14,7 @@ verifies, so criterion 8 draws its own at the smallest m at which the
 predicted verify rate reaches 0.99 (3,062 at the same parameters).
 """
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -27,7 +28,8 @@ from binrec.analysis import (ConeSpec, build_dual_certificate,
                              certificate_offset, certificate_threshold,
                              check_kernel_cone, verify_certificate)
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
-from binrec.experiments import desk_scale_config, run_phase_transition, sweep_trial
+from binrec.experiments import (_map_cells, desk_scale_config, run_phase_transition,
+                                sweep_trial)
 from binrec.optim import LpProblem, solve_box_ls, solve_box_qp, solve_lp
 from binrec.recovery import (RecoveryProblem, box_bp, box_ls, recovery_success)
 from binrec.theory import (TheoryParams, cert_norm_bound, cert_success_rates,
@@ -119,27 +121,37 @@ def test_criterion_3_bernoulli_past_half_measurements():
                    f"exact recovery rate {rate:.3f} at N=100, m=60 (need >= 0.95)")
 
 
+def _biased_cell(task):
+    """One cell of the biased sweep: box_bp's successes, and for each trial
+    with a box_bp point (kernel_holds, ||box_ls - box_bp||)."""
+    cfg, i, j = task
+    wins = 0
+    pairs = []
+    for t in range(cfg.trials):
+        _, A, x0, b = sweep_trial(cfg, i, j, t)
+        bp = box_bp(RecoveryProblem(A, b))
+        wins += recovery_success(bp.x_hat, x0)
+        # the solver itself, not box_ls: on kernel-cone-verified
+        # trials box_ls returns box_bp's rounded point
+        ls = solve_box_ls(A.entries, b)
+        holds = check_kernel_cone(A, ConeSpec.sign_cone(cfg.N, x0.support)).holds
+        if bp.x_hat is not None:
+            pairs.append((holds, float(np.linalg.norm(ls.x - bp.x_hat))))
+    return wins, pairs
+
+
 @pytest.fixture(scope="module")
 def biased_grid():
     """Shared desk-scale biased sweep: per-trial box_bp/box_ls solutions and
-    kernel-cone verdicts (criteria 4 and 6)."""
+    kernel-cone verdicts (criteria 4 and 6), its cells on the sweep's pool."""
     cfg = desk_scale_config(master_seed=MASTER_SEED, kind="biased")
     rates = {}
     pairs = []  # (kernel_holds, ||box_ls - box_bp||)
-    for i, kf in enumerate(cfg.k_fractions):
-        for j, mf in enumerate(cfg.m_fractions):
-            wins = 0
-            for t in range(cfg.trials):
-                _, A, x0, b = sweep_trial(cfg, i, j, t)
-                bp = box_bp(RecoveryProblem(A, b))
-                wins += recovery_success(bp.x_hat, x0)
-                # the solver itself, not box_ls: on kernel-cone-verified
-                # trials box_ls returns box_bp's rounded point
-                ls = solve_box_ls(A.entries, b)
-                holds = check_kernel_cone(A, ConeSpec.sign_cone(cfg.N, x0.support)).holds
-                if bp.x_hat is not None:
-                    pairs.append((holds, float(np.linalg.norm(ls.x - bp.x_hat))))
-            rates[(kf, mf)] = wins / cfg.trials
+    cells = _map_cells(_biased_cell, cfg)
+    for cell, (wins, cell_pairs) in zip(itertools.product(cfg.k_fractions, cfg.m_fractions),
+                                        cells):
+        rates[cell] = wins / cfg.trials
+        pairs += cell_pairs
     return cfg, rates, pairs
 
 

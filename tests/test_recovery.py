@@ -1,17 +1,16 @@
 import dataclasses
-import functools
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq, nnls
+from scipy.optimize import nnls
 
 from binrec import recovery
 from binrec.analysis import ConeSpec, check_kernel_cone
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
 from binrec.experiments import desk_scale_config, sweep_trial
-from binrec.optim import LpProblem, SolverFailure, solve_box_ls, solve_lp
+from binrec.optim import LpProblem, SolverFailure, solve_box_ls, solve_box_qp, solve_lp
 from binrec.recovery import (DEFAULT_SUCCESS_TOL, MIBI_TIE_TOL, ROBUST_GAP_TOL,
                              RecoveryProblem, RecoveryReport, box_bp, box_bp_mirror, box_ls,
                              mibi_bp, _candidate, recovery_success, robust_box_bp,
@@ -322,7 +321,7 @@ def test_robust_points_are_proven_optimal_on_the_first_500_seeds():
 def test_robust_eta_at_the_box_ls_residual(shape):
     # b lies outside A[0,1]^N, so the ball meets the box in a sliver or not
     # at all.  A residual r(0) up to 1e-7 above eta counts as feasible: no
-    # brentq bracket then exists, and the lam = 0 point comes back stalled.
+    # bracket to search then exists, and the lam = 0 point comes back stalled.
     rng = np.random.default_rng(0)
     A = rng.standard_normal(shape)
     b = A @ rng.uniform(-0.5, 1.5, shape[1]) + 0.3 * rng.standard_normal(shape[0])
@@ -335,20 +334,54 @@ def test_robust_eta_at_the_box_ls_residual(shape):
         r = np.linalg.norm(A @ rep.x_hat - b)
         assert rep.solver_status in ("optimal", "stalled"), d
         assert r <= eta or (rep.solver_status == "stalled" and r <= eta + 1e-7), d
-        # once eta clears the lam = 0 solve's own error, brentq runs and
-        # returns the feasible end of its bracket
+        # once eta clears the lam = 0 solve's own error, the search runs and
+        # returns a point in the ball
         if d >= 1e-9:
             assert r <= eta, d
 
 
-def test_robust_brentq_cap_gives_max_iter(monkeypatch):
-    monkeypatch.setattr(recovery, "brentq", functools.partial(brentq, maxiter=2))
+@pytest.mark.parametrize("shape", [(8, 5), (5, 8)])
+def test_robust_eta_just_above_the_box_ls_residual_is_proven(shape):
+    # the ball barely reaches the box, so the multiplier is near 0 and the
+    # Everett bound divides the inner solve's error by it; the piece step's
+    # point solves its free block exactly, so the bound still proves it
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal(shape)
+    b = A @ rng.uniform(-0.5, 1.5, shape[1]) + 0.3 * rng.standard_normal(shape[0])
+    ls = solve_box_ls(A, b).residual_norm
+    for d in (1e-8, 1e-7, 1e-6):
+        rep = robust_box_bp(RecoveryProblem(A, b, eta=ls + d))
+        assert rep.solver_status == "optimal", d
+        assert np.linalg.norm(A @ rep.x_hat - b) <= ls + d, d
+
+
+def test_robust_probe_cap_gives_max_iter(monkeypatch):
+    monkeypatch.setattr(recovery, "_MAX_PROBES", 1)
     A, b = _noisy_robust_instance(0, 0)
     rep = robust_box_bp(RecoveryProblem(A, b, eta=0.1))
     assert rep.solver_status == "max_iter"
     # still the feasible end of the bracket, with its (too large) gap
     assert np.linalg.norm(A @ rep.x_hat - b) <= 0.1
     assert rep.optimality_gap > ROBUST_GAP_TOL * max(1.0, rep.objective)
+
+
+def test_robust_box_bp_takes_a_few_box_qp_solves(monkeypatch):
+    # each piece step lands on the root of its piece, so a handful of
+    # solve_box_qp calls settle a program, the lam = 0 one included
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_box_qp(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "solve_box_qp", counted)
+    for cell in range(4):
+        for trial in range(10):
+            A, b = _noisy_robust_instance(cell, trial)
+            calls.clear()
+            rep = robust_box_bp(RecoveryProblem(A, b, eta=0.1))
+            assert rep.solver_status == "optimal", (cell, trial)
+            assert len(calls) <= 6, (cell, trial, len(calls))
 
 
 def test_box_ls_wrapper():
