@@ -72,6 +72,9 @@ def cmd_gen_signal(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.noise_eps and not args.signal:
+        raise ValueError("--noise-eps adds noise to A x0 and needs --signal; "
+                         "--measurements gives b as it is")
     A = _load_matrix(args.matrix)
     if args.signal:
         with open(args.signal) as f:
@@ -112,6 +115,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.alt_support and args.condition != "newnsp":
+        raise ValueError(f"--alt-support applies only to --condition newnsp, "
+                         f"not {args.condition}")
     A = _load_matrix(args.matrix)
     K = _parse_support(args.support)
     if args.condition == "hkplus":

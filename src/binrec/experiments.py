@@ -184,8 +184,9 @@ def _worker(args):
 
 
 def _one_fill_thread() -> None:
-    # a pool worker fills its matrices on one thread, so a sweep never runs
-    # more threads than workers
+    # a pool worker fills its matrices on one thread; its BLAS threads are
+    # the parent's, which OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+    # MKL_NUM_THREADS set only before Python starts
     os.environ["BINREC_THREADS"] = "1"
 
 

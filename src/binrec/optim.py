@@ -146,16 +146,13 @@ class BoxLsResult:
 
 
 class _BoxQp:
-    """min 0.5*||Ax-b||^2 + c.x over the unit box [0,1]^N, its objective
-    taken relative to a reference point x0 (see ``obj``)."""
+    """min 0.5*||Ax-b||^2 + c.x over the unit box [0,1]^N."""
 
-    def __init__(self, A, b, c=0.0, x0=0.0):
+    def __init__(self, A, b, c=0.0):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         m, N = self.A.shape
         self.c = np.broadcast_to(np.asarray(c, dtype=float), N)
-        self.x0 = np.broadcast_to(np.asarray(x0, dtype=float), N)
-        self.r0 = self.A @ self.x0 - self.b
         # step 1/L with L just above A^T A's largest eigenvalue, read off the
         # smaller Gram matrix; 1 on the zero matrix
         G = self.A @ self.A.T if m < N else self.A.T @ self.A
@@ -169,13 +166,8 @@ class _BoxQp:
         return self.A.T @ (self.A @ z - self.b) + self.c
 
     def obj(self, z):
-        """The objective less c.x0, through the residual r0 + A(z - x0) with
-        r0 = Ax0 - b: its rounding shrinks with the step from x0 rather than
-        with |Az| and |c.z|, so that a solver warm-started near the minimizer
-        can still tell its last steps apart.  At x0 = 0 it is the objective,
-        to the bit."""
-        r = self.r0 + self.A @ (z - self.x0)
-        return 0.5 * float(r @ r) + float(self.c @ (z - self.x0))
+        r = self.A @ z - self.b
+        return 0.5 * float(r @ r) + float(self.c @ z)
 
     def fixed_point(self, x, tol) -> bool:
         """The projected-gradient step from x moves it by at most tol."""
@@ -224,28 +216,27 @@ def solve_box_qp(A, b, c=0.0, tol=1e-10, x0=None) -> BoxLsResult:
     they are, where the polish would break ties toward on-bound points."""
     N = np.shape(A)[1]
     x = np.clip(np.zeros(N) if x0 is None else np.asarray(x0, dtype=float), 0.0, 1.0)
-    qp = _BoxQp(A, b, c, x)
+    qp = _BoxQp(A, b, c)
     x, _, info = fmin_l_bfgs_b(qp.obj, x, fprime=qp.grad, bounds=[(0.0, 1.0)] * N,
                                factr=0.0, pgtol=tol, maxiter=50 * N)
     # L-BFGS-B's warnflag 1 is its iteration (or evaluation) limit
     return qp.result(qp.proj(x), info["nit"], tol, capped=info["warnflag"] == 1)
 
 
-def solve_box_ls(A, b, tol=1e-10, max_iter=None) -> BoxLsResult:
+def solve_box_ls(A, b, tol=1e-10) -> BoxLsResult:
     """min ||Ax-b||_2 over [0,1]^N.  When A (m x N) has full column rank,
     that is m >= N and ``np.linalg.matrix_rank(A) == N`` at numpy's default
     tolerance (largest singular value * max(m, N) * machine epsilon), by
     scipy's BVLS; otherwise by its trust-region reflective method, polished
-    when its point misses the fixed point.  ``max_iter`` caps the solver's
-    iterations (scipy's default when None: 100 for TRF, N for BVLS);
-    ``converged`` is the projected-gradient fixed-point test at ``tol``, and
-    a point that misses it is ``max_iter`` only when the solver hit that
-    cap."""
+    when its point misses the fixed point.  ``converged`` is the
+    projected-gradient fixed-point test at ``tol``, and a point that misses
+    it is ``max_iter`` only when the solver hit scipy's own iteration cap
+    (100 for TRF, N for BVLS)."""
     qp = _BoxQp(A, b)
     m, N = qp.A.shape
     full_rank = m >= N and np.linalg.matrix_rank(qp.A) == N
     res = lsq_linear(qp.A, qp.b, bounds=(0.0, 1.0),
-                     method="bvls" if full_rank else "trf", tol=tol, max_iter=max_iter)
+                     method="bvls" if full_rank else "trf", tol=tol)
     x = qp.proj(res.x)
     # TRF's iterates stay strictly inside the box, so they often end short of
     # the fixed point; only then polish.  Polishing a point that already

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from binrec import analysis, recovery, theory
 from binrec.cli import main
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_sparse_binary
-from binrec.recovery import RecoveryProblem, box_bp
+from binrec.optim import SolverFailure
+from binrec.recovery import RecoveryProblem, box_bp, mibi_bp
 
 
 def run_cli(capsys, *argv):
@@ -30,6 +32,34 @@ def test_theory_json_roundtrip(capsys):
     payload = json.loads(out)
     assert payload["formula"] == "pij"
     assert payload["value"] == pytest.approx(2.0 ** -9)
+
+
+_THEORY_PARAMS = dict(N=100, k=10, m=60, mu=0.3, sigma=0.4, lambda_bound=0.6,
+                      eps=0.02, C=2.0)
+_THEORY_FLAGS = ("--N", "100", "--k", "10", "--m", "60", "--mu", "0.3", "--sigma", "0.4",
+                 "--lambda-bound", "0.6", "--eps", "0.02", "--C", "2")
+
+
+@pytest.mark.parametrize("formula, flags, value", [
+    ("mibi-bound", _THEORY_FLAGS, lambda: theory.mibi_sample_bound(10, 100, 0.02)),
+    ("biased-bound", _THEORY_FLAGS,
+     lambda: theory.biased_sample_bound(theory.TheoryParams(**_THEORY_PARAMS))),
+    ("noise-bound", _THEORY_FLAGS,
+     lambda: theory.noise_error_bound(theory.TheoryParams(**_THEORY_PARAMS))),
+    # at m = 60 the union bound clips to 1, so cert-fail runs at m = 20,000
+    ("cert-fail", ("--N", "100", "--k", "2", "--m", "20000"),
+     lambda: theory.cert_failure_prob(theory.TheoryParams(N=100, k=2, m=20000))),
+    ("cert-fail", ("--N", "100", "--k", "2", "--m", "20000", "--variant", "on_support"),
+     lambda: theory.cert_failure_prob(theory.TheoryParams(N=100, k=2, m=20000),
+                                      "on_support")),
+    ("largern2", _THEORY_FLAGS, lambda: theory.largerN2_success_prob(100, 60)),
+    ("largern2", (*_THEORY_FLAGS, "--variant", "rademacher"),
+     lambda: theory.largerN2_success_prob(100, 60, "rademacher")),
+])
+def test_theory_formula_prints_the_library_value(capsys, formula, flags, value):
+    code, out = run_cli(capsys, "theory", "--formula", formula, *flags)
+    assert code == 0
+    assert out.strip() == f"{value():.12g}"
 
 
 def test_check_condition_on_stored_matrix(capsys, tmp_path):
@@ -68,6 +98,32 @@ def test_check_newnsp_rejects_alt_support_outside_the_columns(capsys, tmp_path):
     assert code == 1
 
 
+def test_check_hkplus_matches_the_library(capsys, tmp_path):
+    A = gen_matrix(EnsembleConfig(kind="gaussian", m=6, N=8, seed=3))
+    path = str(tmp_path / "A.txt")
+    assert run_cli(capsys, "gen-matrix", "--kind", "gaussian", "--m", "6", "--N", "8",
+                   "--seed", "3", "--out", path)[0] == 0
+    code, out = run_cli(capsys, "--json", "check", "--condition", "hkplus",
+                        "--matrix", path, "--support", "0,3")
+    ref = analysis.check_hkplus_dual(A, [0, 3])
+    payload = json.loads(out)
+    assert code == 0 and ref.verdict == "holds"
+    assert payload["verdict"] == ref.verdict
+    assert payload["margin"] == ref.margin
+    assert payload["witness"] == [float(v) for v in ref.witness]
+
+
+@pytest.mark.parametrize("condition", ["kernel-hk", "bnsp", "hkplus"])
+def test_check_rejects_alt_support_without_newnsp(capsys, tmp_path, condition):
+    path = tmp_path / "A.txt"
+    path.write_text("2 5\n1 2 0 1 3\n1 1 1 1 0\n")
+    code = main(["check", "--condition", condition, "--matrix", str(path),
+                 "--support", "1,2", "--alt-support", "3,4"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "--alt-support" in captured.err
+
+
 def test_gen_and_solve_matches_library(capsys, tmp_path):
     mat = str(tmp_path / "A.txt")
     sig = str(tmp_path / "x.txt")
@@ -84,6 +140,66 @@ def test_gen_and_solve_matches_library(capsys, tmp_path):
     rep = box_bp(RecoveryProblem(A, A.entries @ x0.dense()))
     assert np.allclose(payload["x_hat"], rep.x_hat, atol=1e-12)
     assert payload["success"] is True
+
+
+def test_solve_out_writes_x_hat(capsys, tmp_path):
+    mat = str(tmp_path / "A.txt")
+    sig = str(tmp_path / "x.txt")
+    out_path = tmp_path / "x_hat.txt"
+    run_cli(capsys, "gen-matrix", "--kind", "gaussian", "--m", "12", "--N", "16",
+            "--seed", "5", "--out", mat)
+    run_cli(capsys, "gen-signal", "--N", "16", "--k", "3", "--seed", "6", "--out", sig)
+    code, out = run_cli(capsys, "--json", "solve", "--program", "box-ls",
+                        "--matrix", mat, "--signal", sig, "--out", str(out_path))
+    assert code == 0
+    assert np.loadtxt(out_path).tolist() == json.loads(out)["x_hat"]
+
+
+def test_solve_mibi_bp_reports_its_branch(capsys, tmp_path):
+    # a dense signal that box_bp's plain LP misses and its mirror recovers
+    A = gen_matrix(EnsembleConfig(kind="gaussian", m=8, N=12, seed=8))
+    x0 = gen_sparse_binary(12, 9, seed=108)
+    ref = mibi_bp(RecoveryProblem(A, A.entries @ x0.dense()))
+    assert ref.branch_chosen == "mirror"
+    mat = str(tmp_path / "A.txt")
+    sig = str(tmp_path / "x.txt")
+    run_cli(capsys, "gen-matrix", "--kind", "gaussian", "--m", "8", "--N", "12",
+            "--seed", "8", "--out", mat)
+    run_cli(capsys, "gen-signal", "--N", "12", "--k", "9", "--seed", "108", "--out", sig)
+    argv = ("solve", "--program", "mibi-bp", "--matrix", mat, "--signal", sig)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and ", branch mirror," in out
+    code, out = run_cli(capsys, "--json", *argv)
+    assert code == 0 and json.loads(out)["branch"] == "mirror"
+
+
+def test_solve_rejects_noise_eps_with_measurements(capsys, tmp_path):
+    # the noise is drawn onto A x0, which --measurements does not give
+    mat = tmp_path / "A.txt"
+    mat.write_text("2 3\n1 0 1\n0 1 1\n")
+    meas = tmp_path / "b.txt"
+    meas.write_text("1\n1\n")
+    code = main(["solve", "--program", "box-bp", "--matrix", str(mat),
+                 "--measurements", str(meas), "--noise-eps", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "--noise-eps" in captured.err
+
+
+def test_solver_failure_exit_code(capsys, monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise SolverFailure("HiGHS: numerical trouble")
+
+    monkeypatch.setattr(recovery, "solve", fail)
+    mat = tmp_path / "A.txt"
+    mat.write_text("1 2\n1 1\n")
+    meas = tmp_path / "b.txt"
+    meas.write_text("1\n")
+    code = main(["solve", "--program", "box-bp", "--matrix", str(mat),
+                 "--measurements", str(meas)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "solver failure: HiGHS: numerical trouble\n"
 
 
 def test_solve_robust_bp_reports_optimal(capsys, tmp_path):
