@@ -19,6 +19,14 @@ from .ensembles import DenseMatrix
 from .optim import TOL_FEAS, SolverFailure
 
 
+def _support(N: int, K) -> np.ndarray:
+    """The indices K as an integer array; each must be an integer in [0, N)."""
+    idx = np.asarray(K, dtype=int)
+    if not np.array_equal(idx, K) or np.any((idx < 0) | (idx >= N)):
+        raise ValueError(f"support indices must be integers in [0, {N})")
+    return idx
+
+
 @dataclass
 class ConeSpec:
     """The cone of a sign vector s: w_i <= 0 where s_i = -1, w_i = 0 where
@@ -40,11 +48,8 @@ class ConeSpec:
     @classmethod
     def sign_cone(cls, N: int, K, sum_nonpos: bool = False) -> "ConeSpec":
         """The cone of vectors nonpositive on K and nonnegative off K."""
-        idx = np.asarray(K, dtype=int)
-        if not np.array_equal(idx, K) or np.any((idx < 0) | (idx >= N)):
-            raise ValueError(f"support indices must be integers in [0, {N})")
         signs = np.ones(N)
-        signs[idx] = -1.0
+        signs[_support(N, K)] = -1.0
         return cls(signs, sum_nonpos=sum_nonpos)
 
     def intersect(self, other: "ConeSpec") -> "ConeSpec":
@@ -171,22 +176,19 @@ def build_dual_certificate(D, mu: float, sigma: float, J,
                            rho_override: float | None = None) -> np.ndarray:
     """The explicit candidate certificate rho*1 + D e - (1/m)<D e, 1> 1 with
     e the indicator of J and default rho = ``certificate_offset(mu, sigma)``.
-    J must be nonempty, in range and free of repeats: the norm bound is
-    taken at |J|, and a repeated index would not count in e."""
+    J must be nonempty, free of repeats and made of integers in [0, N): the
+    norm bound is taken at |J|, and a repeated index would not count in e.
+    D e is the sum of D's columns in J, read without the other N - |J|."""
     D = _entries(D)
     m, N = D.shape
-    J = np.asarray(sorted(J), dtype=int)
+    J = np.sort(_support(N, J))
     if J.size == 0:
         raise ValueError("certificate support J must be nonempty")
-    if J[0] < 0 or J[-1] >= N:
-        raise ValueError("support indices out of range")
     if np.any(np.diff(J) == 0):
         raise ValueError(f"certificate support J repeats an index: {J.tolist()}")
     rho = certificate_offset(mu, sigma) if rho_override is None else rho_override
-    eps0 = np.zeros(N)
-    eps0[J] = 1.0
-    De = D @ eps0
-    return rho * np.ones(m) + De - (np.sum(De) / m) * np.ones(m)
+    De = D[:, J].sum(axis=1)
+    return rho + De - np.sum(De) / m
 
 
 def verify_certificate(A, nu: np.ndarray, K, t: float):

@@ -9,13 +9,18 @@ sqrt(m) * bernoulli01 == (ones + sqrt(m) * rademacher) / 2, and
 biased(mu) - biased(0) == mu * ones.
 
 Every kind allocates its m x N output once and fills it in one row-major
-pass over cache-sized blocks: each block is drawn from the seed's stream and
-then finished in place by the kind's scalar operations.  The sign stream is
-read straight from Philox's raw 64-bit output, and the result is bit for bit
-the matrix ``2 * Generator(Philox(key=seed)).integers(0, 2, (m, N)) - 1``
-gives.  Since the stream is consumed in row-major order, the first m rows of
-an m_max x N draw equal the m x N draw with the same seed (up to the m^{-1/2}
-row scale of the scaled kinds).
+pass over cache-sized blocks.  The sign kinds (Rademacher, 0/1-Bernoulli and
+the biased kind with a Rademacher base) read the sign stream straight from
+Philox's raw 64-bit output: the signs are bit for bit those of
+``2 * Generator(Philox(key=seed)).integers(0, 2, (m, N)) - 1``.  Each entry
+of a sign kind is f(-1) or f(+1), with f the kind's chain of scalar
+operations, and IEEE arithmetic is elementwise, so f runs once on the two
+signs and every block is set from the stream's bits in one integer pass over
+the two values' bit patterns.  The Gaussian and uniform kinds draw each
+block from the seed's stream and finish it in place by the kind's scalar
+operations.  Since the stream is consumed in row-major order, the first m
+rows of an m_max x N draw equal the m x N draw with the same seed (up to the
+m^{-1/2} row scale of the scaled kinds).
 
 Philox is counter-based, so ``Philox.advance`` reaches any block of the
 stream without drawing the blocks before it.  A large sign or uniform matrix
@@ -91,7 +96,15 @@ class EnsembleConfig:
 
 @dataclass
 class DenseMatrix:
-    """Row-major dense m x N matrix."""
+    """Row-major dense m x N matrix.
+
+    The constructor checks that every entry is finite, so a matrix read by
+    ``read_matrix`` (and so by the CLI) or handed to ``RecoveryProblem`` as
+    an array is checked entry by entry, as are the Gaussian and uniform
+    draws of ``gen_matrix``.  A sign-kind draw takes only two values, which
+    ``gen_matrix`` checks before the fill; it is wrapped by ``_two_valued``
+    without a second pass over the entries.
+    """
 
     entries: np.ndarray
 
@@ -101,6 +114,14 @@ class DenseMatrix:
             raise ValueError("matrix entries must be 2-dimensional")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("matrix entries must be finite")
+
+    @classmethod
+    def _two_valued(cls, entries: np.ndarray) -> "DenseMatrix":
+        """Wrap a 2-D float array whose entries are all one of two values
+        already checked finite, without the entrywise check."""
+        matrix = cls.__new__(cls)
+        matrix.entries = entries
+        return matrix
 
     @property
     def m(self) -> int:
@@ -153,9 +174,11 @@ def _rng(seed: int) -> Generator:
 _BLOCK = 1 << 15
 assert _BLOCK % 8 == 0
 
-# Fewest blocks a thread must get before a fill splits into runs: a block
-# takes about 0.15 ms and starting a pool about 0.2 ms (2-core x86-64), so a
-# run of 16 blocks does at least ten times the work its thread costs.
+# Fewest blocks a thread must get before a fill splits into runs: a sign
+# block takes about 0.13 ms of CPU and a uniform block about 0.27 ms (the
+# page faults of a fresh output included), and starting a pool about 0.2 ms
+# (2-core x86-64), so a run of 16 blocks does at least ten times the work
+# its thread costs.
 _MIN_RUN_BLOCKS = 16
 
 
@@ -176,22 +199,29 @@ def _thread_cap() -> int:
     return os.cpu_count() or 1
 
 
-def _sign_stream(seed: int, first_block: int):
-    """Fill consecutive blocks, from block ``first_block`` on, with the signs
-    2 b - 1 of ``Generator.integers(0, 2)``."""
+def _sign_stream(seed: int, table: np.ndarray, first_block: int):
+    """Fill consecutive blocks, from block ``first_block`` on, with
+    ``table[b]`` for the bits b of ``Generator.integers(0, 2)``: ``table``
+    holds a sign kind's entries for the signs -1 and +1."""
     bits = Philox(key=seed)
     # one counter step is 4 raw words, and a block reads _BLOCK / 2 of them
     bits.advance(first_block * (_BLOCK // 8))
+    lo, hi = table.view(np.int64)
+    flip = lo ^ hi
 
     def draw(block: np.ndarray) -> None:
         # integers(0, 2) is the top bit of each 32-bit half of the raw
         # stream, low half first (numpy's Lemire path for a range of 2);
         # the little-endian view keeps that order on any host
         raw = bits.random_raw((block.size + 1) // 2)
-        halves = raw.astype("<u8", copy=False).view("<u4")[:block.size]
-        np.right_shift(halves, 31, out=halves)
-        np.multiply(halves, 2.0, out=block)
-        block -= 1.0
+        halves = raw.astype("<u8", copy=False).view("<i4")[:block.size]
+        # the arithmetic shift leaves 0 for b = 0 and -1 (every bit set) for
+        # b = 1, so masking lo ^ hi by it and xoring lo gives lo or hi; every
+        # dtype is fixed, whatever numpy's rule for scalar operands
+        word = block.view(np.int64)
+        np.right_shift(halves, np.int32(31), out=word)
+        np.bitwise_and(word, flip, out=word)
+        np.bitwise_xor(word, lo, out=word)
 
     return draw
 
@@ -208,7 +238,7 @@ def _uniform_stream(seed: int, half: float, first_block: int):
 def _fill(m: int, N: int, stream, ops, split: bool = True) -> np.ndarray:
     """The m x N matrix of consecutive blocks of ``stream(first_block)``, each
     finished by the in-place scalar operations ``ops``, a sequence of
-    (ufunc, scalar).
+    (ufunc, scalar); a sign stream writes finished entries and has none.
 
     With ``split``, the blocks are cut into up to ``_thread_cap()``
     contiguous runs of at least ``_MIN_RUN_BLOCKS`` blocks each, and the runs
@@ -240,7 +270,7 @@ def gen_matrix(config: EnsembleConfig) -> DenseMatrix:
     """Draw a measurement matrix; deterministic given config and seed."""
     m, N, seed = config.m, config.N, config.seed
     scale = 1.0 / math.sqrt(m)
-    signs = lambda first: _sign_stream(seed, first)
+    stream = None
     if config.kind == "gaussian":
         # the ziggurat reads a data-dependent number of raw words, so no
         # block but the first has a known place in the stream: one run
@@ -248,12 +278,12 @@ def gen_matrix(config: EnsembleConfig) -> DenseMatrix:
         stream = lambda first: (lambda block: rng.standard_normal(out=block))
         ops = [(np.multiply, scale)]
     elif config.kind == "rademacher":
-        stream, ops = signs, [(np.multiply, scale)]
+        ops = [(np.multiply, scale)]
     elif config.kind == "bernoulli01":
         # scale * (1 + s) / 2, in that order
-        stream, ops = signs, [(np.add, 1.0), (np.multiply, scale), (np.divide, 2.0)]
+        ops = [(np.add, 1.0), (np.multiply, scale), (np.divide, 2.0)]
     elif config.base_dist == "rademacher_scaled":
-        stream, ops = signs, [(np.multiply, config.sigma), (np.add, config.mu)]
+        ops = [(np.multiply, config.sigma), (np.add, config.mu)]
     else:
         # uniform on [-sqrt(3) sigma, sqrt(3) sigma] has variance sigma^2
         half = math.sqrt(3.0) * config.sigma
@@ -261,7 +291,16 @@ def gen_matrix(config: EnsembleConfig) -> DenseMatrix:
         ops = [(np.add, config.mu)]
     if config.kind == "biased" and config.normalized:
         ops.append((np.multiply, scale))
-    return DenseMatrix(_fill(m, N, stream, ops, split=config.kind != "gaussian"))
+    if stream is not None:
+        return DenseMatrix(_fill(m, N, stream, ops, split=config.kind != "gaussian"))
+    # a sign kind: the ops on the two signs give the only two entries
+    table = np.array([-1.0, 1.0])
+    for op, c in ops:
+        op(table, c, out=table)
+    if not np.all(np.isfinite(table)):
+        raise ValueError("matrix entries must be finite")
+    return DenseMatrix._two_valued(
+        _fill(m, N, lambda first: _sign_stream(seed, table, first), ()))
 
 
 def gen_sparse_binary(N: int, k: int, seed: int = 0) -> BinarySignal:

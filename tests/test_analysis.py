@@ -70,6 +70,9 @@ def test_supports_outside_the_columns_are_rejected(K):
         check_hkplus_dual(A, K)
     with pytest.raises(ValueError):
         verify_certificate(A, np.ones(2), K, 0.5)
+    # a fractional index must not be truncated to the column before it
+    with pytest.raises(ValueError, match=r"support indices must be integers in \[0, 3\)"):
+        build_dual_certificate(A, 0.5, 0.5, K)
 
 
 def test_kernel_cone_invertible_matrix_holds():
@@ -261,6 +264,22 @@ def test_certificate_centering_identity():
     nu = build_dual_certificate(D, 0.3, 0.7, [1, 5, 9])
     rho = -0.49 / 1.2
     assert abs(float(np.sum(nu - rho))) <= 1e-9
+
+
+def test_certificate_is_the_dense_formula():
+    # rho 1 + De - mean(De) 1 with De = D @ e, e the indicator of J, at the
+    # first column, the last and all of them
+    rng = np.random.default_rng(11)
+    m, N, mu, sigma = 37, 23, 0.4, 0.3
+    D = rng.standard_normal((m, N))
+    rho = -sigma ** 2 / (4.0 * mu)
+    for J in ([0], [N - 1], list(range(N))):
+        e = np.zeros(N)
+        e[J] = 1.0
+        De = D @ e
+        ref = rho + De - De.mean()
+        nu = build_dual_certificate(D, mu, sigma, J)
+        assert np.max(np.abs(nu - ref)) <= 1e-12 * np.max(np.abs(ref)), J
 
 
 def test_certificate_domain_errors():

@@ -124,6 +124,41 @@ def test_gen_matrix_is_the_generator_stream_bit_for_bit(kind, base_dist, normali
             assert _same_bits(gen_matrix(cfg).entries, expected), (m, N, seed)
 
 
+@pytest.mark.parametrize("kind,m,N,mu,sigma,normalized", [
+    ("biased", 131, 507, 0.1, 0.3, False),     # mu +- sigma round
+    ("biased", 131, 507, 0.3, 0.3, False),     # mu - sigma is +0.0
+    ("biased", 3, 30_001, 0.1, 0.3, True),     # scaled by 3^{-1/2}
+    ("bernoulli01", 131, 507, 0.0, 1.0, False),
+], ids=["inexact", "zero", "normalized-m3", "bernoulli01"])
+def test_sign_fill_takes_the_formula_values_bit_for_bit(monkeypatch, kind, m, N, mu,
+                                                        sigma, normalized):
+    # the kind's scalar operations run once on the signs -1 and +1, and the
+    # fill copies those two bit patterns: they must be the entries the
+    # whole-matrix formula rounds to, at one run and split into runs
+    assert m * N > 2 * _BLOCK and m * N % _BLOCK
+    monkeypatch.setattr(ensembles, "_MIN_RUN_BLOCKS", 1)
+    expected = _stream_formula(kind, m, N, 17, mu, sigma, "rademacher_scaled", normalized)
+    cfg = EnsembleConfig(kind=kind, m=m, N=N, mu=mu, sigma=sigma, lambda_bound=sigma,
+                         seed=17, normalized=normalized)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BINREC_THREADS", threads)
+        assert _same_bits(gen_matrix(cfg).entries, expected), threads
+    if mu == sigma or kind == "bernoulli01":
+        zeros = expected[expected == 0.0]
+        assert zeros.size and not np.signbit(zeros).any()
+
+
+@pytest.mark.parametrize("base_dist,mu,sigma", [
+    ("rademacher_scaled", 1e308, 1e308),
+    # numpy's uniform needs a finite range 2 sqrt(3) sigma; mu + entry overflows
+    ("uniform_bounded", 1.5e308, 0.85e308 / math.sqrt(3.0))])
+def test_gen_matrix_rejects_entries_that_overflow(base_dist, mu, sigma):
+    cfg = EnsembleConfig(kind="biased", m=3, N=4, mu=mu, sigma=sigma, lambda_bound=1e308,
+                         base_dist=base_dist)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        gen_matrix(cfg)
+
+
 @pytest.mark.parametrize("threads", ["2", "3", "5"])
 def test_split_fill_equals_one_run(monkeypatch, threads):
     # runs of any length, down to one block, must join into the one-run
