@@ -15,16 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .ensembles import DenseMatrix
+from .ensembles import DenseMatrix, _support
 from .optim import TOL_FEAS, SolverFailure
-
-
-def _support(N: int, K) -> np.ndarray:
-    """The indices K as an integer array; each must be an integer in [0, N)."""
-    idx = np.asarray(K, dtype=int)
-    if not np.array_equal(idx, K) or np.any((idx < 0) | (idx >= N)):
-        raise ValueError(f"support indices must be integers in [0, {N})")
-    return idx
 
 
 @dataclass

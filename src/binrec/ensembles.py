@@ -8,28 +8,29 @@ from the same stream, so the algebraic relations between them hold exactly:
 sqrt(m) * bernoulli01 == (ones + sqrt(m) * rademacher) / 2, and
 biased(mu) - biased(0) == mu * ones.
 
-Every kind allocates its m x N output once and fills it in one row-major
-pass over cache-sized blocks.  The sign kinds (Rademacher, 0/1-Bernoulli and
-the biased kind with a Rademacher base) read the sign stream straight from
-Philox's raw 64-bit output: the signs are bit for bit those of
+The Gaussian kind and the biased kind with a uniform base are one call
+each, ``standard_normal((m, N))`` or ``uniform(-half, half, (m, N))`` on the
+seed's Generator, finished in place by the kind's scalar operations.  The
+sign kinds (Rademacher, 0/1-Bernoulli and the biased kind with a Rademacher
+base) read the sign stream straight from Philox's raw 64-bit output: the
+signs are bit for bit those of
 ``2 * Generator(Philox(key=seed)).integers(0, 2, (m, N)) - 1``.  Each entry
 of a sign kind is f(-1) or f(+1), with f the kind's chain of scalar
 operations, and IEEE arithmetic is elementwise, so f runs once on the two
-signs and every block is set from the stream's bits in one integer pass over
-the two values' bit patterns.  The Gaussian and uniform kinds draw each
-block from the seed's stream and finish it in place by the kind's scalar
-operations.  Since the stream is consumed in row-major order, the first m
-rows of an m_max x N draw equal the m x N draw with the same seed (up to the
-m^{-1/2} row scale of the scaled kinds).
+signs and the output is set from the stream's bits in one integer pass over
+the two values' bit patterns, block by cache-sized block.  Every stream is
+consumed in row-major order, so the first m rows of an m_max x N draw equal
+the m x N draw with the same seed (up to the m^{-1/2} row scale of the
+scaled kinds).
 
 Philox is counter-based, so ``Philox.advance`` reaches any block of the
-stream without drawing the blocks before it.  A large sign or uniform matrix
-is therefore split into contiguous runs of whole blocks, one per thread (up
-to ``BINREC_THREADS``, else the CPUs this process may run on), each run
-reading the stream from its own first block; the matrix is the same bit for
-bit at every thread count.  Gaussian matrices are filled in one run: the
-ziggurat reads a data-dependent number of words per entry, so where a block
-starts in the stream is known only after the blocks before it are drawn.
+sign stream without drawing the blocks before it.  A large sign matrix is
+therefore split into contiguous runs of whole blocks, one per thread (up to
+``BINREC_THREADS``, else the CPUs this process may run on), each run reading
+the stream from its own first block; the matrix is the same bit for bit at
+every thread count.  Only the sign fill gains from the split: a single
+Generator call draws a Gaussian or uniform matrix about as fast as a
+blocked, threaded fill.
 """
 
 from __future__ import annotations
@@ -92,6 +93,10 @@ class EnsembleConfig:
                     f"sigma={self.sigma} incompatible with lambda_bound={self.lambda_bound} "
                     f"for base {self.base_dist!r}"
                 )
+            # numpy's uniform draw needs its range high - low to be finite
+            if self.base_dist == "uniform_bounded" and not math.isfinite(2.0 * reach):
+                raise ValueError(f"sigma={self.sigma} too large for base 'uniform_bounded': "
+                                 "the range 2*sqrt(3)*sigma must be finite")
 
 
 @dataclass
@@ -132,6 +137,14 @@ class DenseMatrix:
         return self.entries.shape[1]
 
 
+def _support(N: int, K) -> np.ndarray:
+    """The indices K as an integer array; each must be an integer in [0, N)."""
+    idx = np.asarray(K, dtype=int)
+    if not np.array_equal(idx, K) or np.any((idx < 0) | (idx >= N)):
+        raise ValueError(f"support indices must be integers in [0, {N})")
+    return idx
+
+
 @dataclass
 class BinarySignal:
     """A 0/1 vector of length N given by its support."""
@@ -140,12 +153,9 @@ class BinarySignal:
     support: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
     def __post_init__(self):
-        self.support = np.asarray(self.support, dtype=int)
-        if self.support.size:
-            if np.any(np.diff(self.support) <= 0):
-                raise ValueError("support indices must be strictly increasing")
-            if self.support[0] < 0 or self.support[-1] >= self.N:
-                raise ValueError("support indices out of range")
+        self.support = _support(self.N, self.support)
+        if np.any(np.diff(self.support) <= 0):
+            raise ValueError("support indices must be strictly increasing")
 
     @property
     def k(self) -> int:
@@ -167,18 +177,17 @@ def _rng(seed: int) -> Generator:
     return Generator(Philox(key=seed))
 
 
-# Entries per fill block: small enough to stay in cache.  A block of signs
-# is _BLOCK / 2 raw words and a uniform block _BLOCK words, so with _BLOCK a
-# multiple of 8 every block starts on a whole 4-word Philox counter step and
-# a run of blocks can start anywhere in the stream by ``Philox.advance``.
+# Entries per sign-fill block: small enough to stay in cache.  A block is
+# _BLOCK / 2 raw words, so with _BLOCK a multiple of 8 every block starts on
+# a whole 4-word Philox counter step and a run of blocks can start anywhere
+# in the stream by ``Philox.advance``.
 _BLOCK = 1 << 15
 assert _BLOCK % 8 == 0
 
 # Fewest blocks a thread must get before a fill splits into runs: a sign
-# block takes about 0.13 ms of CPU and a uniform block about 0.27 ms (the
-# page faults of a fresh output included), and starting a pool about 0.2 ms
-# (2-core x86-64), so a run of 16 blocks does at least ten times the work
-# its thread costs.
+# block takes about 0.13 ms of CPU (the page faults of a fresh output
+# included) and starting a pool about 0.2 ms (2-core x86-64), so a run of 16
+# blocks does ten times the work its thread costs.
 _MIN_RUN_BLOCKS = 16
 
 
@@ -199,64 +208,41 @@ def _thread_cap() -> int:
     return os.cpu_count() or 1
 
 
-def _sign_stream(seed: int, table: np.ndarray, first_block: int):
-    """Fill consecutive blocks, from block ``first_block`` on, with
-    ``table[b]`` for the bits b of ``Generator.integers(0, 2)``: ``table``
-    holds a sign kind's entries for the signs -1 and +1."""
-    bits = Philox(key=seed)
-    # one counter step is 4 raw words, and a block reads _BLOCK / 2 of them
-    bits.advance(first_block * (_BLOCK // 8))
+def _fill(m: int, N: int, seed: int, table: np.ndarray) -> np.ndarray:
+    """The m x N matrix whose entries are ``table[b]`` for the bits b of
+    ``Generator(Philox(key=seed)).integers(0, 2, (m, N))``: ``table`` holds a
+    sign kind's entries for the signs -1 and +1.
+
+    The blocks are cut into up to ``_thread_cap()`` contiguous runs of at
+    least ``_MIN_RUN_BLOCKS`` blocks each, and the runs fill their own slices
+    of the output on a thread pool (numpy releases the GIL in the raw draw
+    and the integer loops).  Each run reads the stream from its own first
+    block, so the matrix does not depend on the run count."""
+    out = np.empty(m * N)
+    blocks = -(-out.size // _BLOCK)
+    runs = max(1, min(_thread_cap(), blocks // _MIN_RUN_BLOCKS))
+    firsts = [blocks * r // runs for r in range(runs + 1)]
     lo, hi = table.view(np.int64)
     flip = lo ^ hi
 
-    def draw(block: np.ndarray) -> None:
-        # integers(0, 2) is the top bit of each 32-bit half of the raw
-        # stream, low half first (numpy's Lemire path for a range of 2);
-        # the little-endian view keeps that order on any host
-        raw = bits.random_raw((block.size + 1) // 2)
-        halves = raw.astype("<u8", copy=False).view("<i4")[:block.size]
-        # the arithmetic shift leaves 0 for b = 0 and -1 (every bit set) for
-        # b = 1, so masking lo ^ hi by it and xoring lo gives lo or hi; every
-        # dtype is fixed, whatever numpy's rule for scalar operands
-        word = block.view(np.int64)
-        np.right_shift(halves, np.int32(31), out=word)
-        np.bitwise_and(word, flip, out=word)
-        np.bitwise_xor(word, lo, out=word)
-
-    return draw
-
-
-def _uniform_stream(seed: int, half: float, first_block: int):
-    """Fill consecutive blocks, from block ``first_block`` on, with
-    ``Generator.uniform(-half, half)``, which reads one raw word per entry."""
-    bits = Philox(key=seed)
-    bits.advance(first_block * (_BLOCK // 4))
-    rng = Generator(bits)
-    return lambda block: np.copyto(block, rng.uniform(-half, half, block.size))
-
-
-def _fill(m: int, N: int, stream, ops, split: bool = True) -> np.ndarray:
-    """The m x N matrix of consecutive blocks of ``stream(first_block)``, each
-    finished by the in-place scalar operations ``ops``, a sequence of
-    (ufunc, scalar); a sign stream writes finished entries and has none.
-
-    With ``split``, the blocks are cut into up to ``_thread_cap()``
-    contiguous runs of at least ``_MIN_RUN_BLOCKS`` blocks each, and the runs
-    fill their own slices of the output on a thread pool (numpy releases the
-    GIL in the raw draw and the ufunc loops).  Each run reads the stream from
-    its own first block, so the matrix does not depend on the run count."""
-    out = np.empty(m * N)
-    blocks = -(-out.size // _BLOCK)
-    runs = max(1, min(_thread_cap(), blocks // _MIN_RUN_BLOCKS)) if split else 1
-    firsts = [blocks * r // runs for r in range(runs + 1)]
-
     def fill_run(first: int, stop: int) -> None:
-        draw = stream(first)
+        bits = Philox(key=seed)
+        # one counter step is 4 raw words, and a block reads _BLOCK / 2 of them
+        bits.advance(first * (_BLOCK // 8))
         for start in range(first * _BLOCK, min(stop * _BLOCK, out.size), _BLOCK):
             block = out[start:start + _BLOCK]
-            draw(block)
-            for op, c in ops:
-                op(block, c, out=block)
+            # integers(0, 2) is the top bit of each 32-bit half of the raw
+            # stream, low half first (numpy's Lemire path for a range of 2);
+            # the little-endian view keeps that order on any host
+            raw = bits.random_raw((block.size + 1) // 2)
+            halves = raw.astype("<u8", copy=False).view("<i4")[:block.size]
+            # the arithmetic shift leaves 0 for b = 0 and -1 (every bit set)
+            # for b = 1, so masking lo ^ hi by it and xoring lo gives lo or
+            # hi; every dtype is fixed, whatever numpy's rule for scalar operands
+            word = block.view(np.int64)
+            np.right_shift(halves, np.int32(31), out=word)
+            np.bitwise_and(word, flip, out=word)
+            np.bitwise_xor(word, lo, out=word)
 
     if runs == 1:
         fill_run(0, blocks)
@@ -270,12 +256,9 @@ def gen_matrix(config: EnsembleConfig) -> DenseMatrix:
     """Draw a measurement matrix; deterministic given config and seed."""
     m, N, seed = config.m, config.N, config.seed
     scale = 1.0 / math.sqrt(m)
-    stream = None
+    drawn = None
     if config.kind == "gaussian":
-        # the ziggurat reads a data-dependent number of raw words, so no
-        # block but the first has a known place in the stream: one run
-        rng = _rng(seed)
-        stream = lambda first: (lambda block: rng.standard_normal(out=block))
+        drawn = _rng(seed).standard_normal((m, N))
         ops = [(np.multiply, scale)]
     elif config.kind == "rademacher":
         ops = [(np.multiply, scale)]
@@ -287,20 +270,19 @@ def gen_matrix(config: EnsembleConfig) -> DenseMatrix:
     else:
         # uniform on [-sqrt(3) sigma, sqrt(3) sigma] has variance sigma^2
         half = math.sqrt(3.0) * config.sigma
-        stream = lambda first: _uniform_stream(seed, half, first)
+        drawn = _rng(seed).uniform(-half, half, (m, N))
         ops = [(np.add, config.mu)]
     if config.kind == "biased" and config.normalized:
         ops.append((np.multiply, scale))
-    if stream is not None:
-        return DenseMatrix(_fill(m, N, stream, ops, split=config.kind != "gaussian"))
-    # a sign kind: the ops on the two signs give the only two entries
-    table = np.array([-1.0, 1.0])
+    # a sign kind's ops run on the two signs, which give its only two entries
+    values = np.array([-1.0, 1.0]) if drawn is None else drawn
     for op, c in ops:
-        op(table, c, out=table)
-    if not np.all(np.isfinite(table)):
+        op(values, c, out=values)
+    if drawn is not None:
+        return DenseMatrix(drawn)
+    if not np.all(np.isfinite(values)):
         raise ValueError("matrix entries must be finite")
-    return DenseMatrix._two_valued(
-        _fill(m, N, lambda first: _sign_stream(seed, table, first), ()))
+    return DenseMatrix._two_valued(_fill(m, N, seed, values))
 
 
 def gen_sparse_binary(N: int, k: int, seed: int = 0) -> BinarySignal:

@@ -24,6 +24,8 @@ def test_tracer_targets_exist_in_binrec(monkeypatch):
                if not callable(getattr(importlib.import_module(f"binrec.{module}"),
                                        function, None))]
     assert tracing.TARGETS and not missing, missing
+    # tracing.installed reads the phase-1 probe on every run, untraced too
+    assert callable(getattr(importlib.import_module("binrec.optim"), "lp_feasible", None))
 
 
 def test_binrec_does_not_import_scipy_stats():

@@ -299,6 +299,19 @@ def test_phase_rejects_a_bad_grid_step(capsys, tmp_path, step):
     assert not csv.exists()
 
 
+def test_gen_matrix_rejects_a_uniform_base_with_an_infinite_range(capsys, tmp_path):
+    # sqrt(3) sigma fits lambda_bound, but the range 2 sqrt(3) sigma of the
+    # uniform draw overflows: an error line, not numpy's OverflowError
+    out = tmp_path / "x"
+    code = main(["gen-matrix", "--kind", "biased", "--base-dist", "uniform_bounded",
+                 "--sigma", "5.7735e307", "--lambda-bound", "1e308", "--m", "3", "--N", "4",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "sigma" in err
+    assert not out.exists()
+
+
 def test_phase_rejects_a_grid_step_below_one_over_n(capsys, monkeypatch):
     # a step of 1e-9 would ask for 10^9 fractions per axis; the step is
     # refused before any grid is built, under --dry-run too
@@ -352,8 +365,8 @@ def test_phase_small_run_writes_outputs(capsys, tmp_path):
     code, _ = run_cli(capsys, "phase", "--N", "16", "--grid-step", "0.5",
                       "--trials", "2", "--out-csv", csv, "--out-svg", svg)
     assert code == 0
-    assert open(csv).readline().startswith("N,m,k,trial")
-    assert "<svg" in open(svg).read()
+    assert Path(csv).read_text().startswith("N,m,k,trial")
+    assert "<svg" in Path(svg).read_text()
 
 
 def test_certificate_reports_norm_bounds(capsys):

@@ -187,7 +187,7 @@ def test_split_fill_equals_one_run(monkeypatch, threads):
                                             ("gaussian", "rademacher_scaled")])
 def test_threaded_fill_is_the_generator_stream(monkeypatch, kind, base_dist):
     # 4M entries (32 MB) is over two runs of the real minimum, so the sign
-    # and uniform fills split at 2 threads; Gaussian stays one run
+    # fill splits at 2 threads; Gaussian and uniform are one Generator call
     m, N, seed, mu, sigma = 20_011, 200, 70_003, 0.5, 0.5
     assert m * N // _BLOCK >= 2 * _MIN_RUN_BLOCKS
     pools = []
@@ -204,7 +204,7 @@ def test_threaded_fill_is_the_generator_stream(monkeypatch, kind, base_dist):
     for threads in ("1", "2"):
         monkeypatch.setenv("BINREC_THREADS", threads)
         assert _same_bits(gen_matrix(cfg).entries, expected), threads
-    assert pools == ([] if kind == "gaussian" else [2])
+    assert pools == ([] if kind == "gaussian" or base_dist == "uniform_bounded" else [2])
 
 
 def test_thread_cap(monkeypatch):
@@ -253,6 +253,11 @@ def test_config_validation():
         # uniform base reaches sqrt(3)*sigma, beyond this lambda_bound
         EnsembleConfig(kind="biased", m=2, N=2, sigma=1.0, lambda_bound=1.2,
                        base_dist="uniform_bounded")
+    with pytest.raises(ValueError, match="sigma"):
+        # sqrt(3)*sigma fits lambda_bound, but the uniform draw's range
+        # 2*sqrt(3)*sigma overflows
+        EnsembleConfig(kind="biased", m=2, N=2, sigma=5.7735e307, lambda_bound=1e308,
+                       base_dist="uniform_bounded")
 
 
 @pytest.mark.parametrize("params", [
@@ -293,6 +298,10 @@ def test_signal_validation():
         BinarySignal(4, np.array([2, 1]))
     with pytest.raises(ValueError):
         BinarySignal(4, np.array([0, 4]))
+    # a fractional index is rejected, not truncated to [0, 2]
+    with pytest.raises(ValueError, match="integers"):
+        BinarySignal(5, [0.5, 2.7])
+    assert np.array_equal(BinarySignal(5, [0.0, 2.0]).support, [0, 2])
 
 
 def test_noise_norm_exact():

@@ -173,11 +173,11 @@ def test_heatmap_extreme_cells(tmp_path):
     white = str(tmp_path / "white.svg")
     render_heatmap(PhaseDiagram(cfg, [_record(t, "box_bp", True) for t in range(2)]),
                    "box_bp", white)
-    assert 'fill="rgb(255,255,255)"' in open(white).read()
+    assert 'fill="rgb(255,255,255)"' in Path(white).read_text()
     black = str(tmp_path / "black.svg")
     render_heatmap(PhaseDiagram(cfg, [_record(t, "box_bp", False) for t in range(2)]),
                    "box_bp", black)
-    assert 'fill="rgb(0,0,0)"' in open(black).read()
+    assert 'fill="rgb(0,0,0)"' in Path(black).read_text()
 
 
 def test_rate_reads_each_cells_own_trials():
@@ -204,7 +204,7 @@ def test_heatmap_wellformed_xml_with_axes(tmp_path):
     render_heatmap(d, "box_bp", path)
     root = ET.parse(path).getroot()
     assert root.tag.endswith("svg")
-    text = open(path).read()
+    text = Path(path).read_text()
     assert "k/N" in text and "m/N" in text
     with pytest.raises(ValueError):
         render_heatmap(d, "box_ls", str(tmp_path / "bad.svg"))
