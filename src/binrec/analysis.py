@@ -6,6 +6,8 @@ normalization and strictness a unit margin, and Gordan's alternative turns
 the question into one nonnegative least-squares problem: its solution gives
 either a normalized cone element of the kernel or a dual vector that
 separates the cone from it, and each verdict is checked against that object.
+The problem goes to scipy's NNLS, and to its BVLS when NNLS's answer
+verifies neither side.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import lsq_linear, nnls
 
 from .ensembles import DenseMatrix, _support
 from .optim import TOL_FEAS, SolverFailure
@@ -85,8 +87,11 @@ def _gordan(A: np.ndarray, cone: ConeSpec):
     B[:-1]^T y at most -1 and, with the sum row, a slack entry y_sum <= 0.
     Then for any cone element in ker(A), (1/2 - y_sum) sum(v) <= 0, so
     v = 0.  Both objects are checked after the solve, the holds bounds at
-    -1/2 and y_sum < 1/2; when neither passes, or NNLS hits its iteration
-    cap of ten times the column count, SolverFailure is raised.
+    -1/2 and y_sum < 1/2.  scipy's NNLS can misreport a degenerate system,
+    so when neither object passes, or NNLS hits its iteration cap of ten
+    times the column count, the same problem goes to BVLS
+    (``lsq_linear(method="bvls")`` on u >= 0) and its answer is checked in
+    the same way; SolverFailure is raised only when both fail.
     """
     P = np.flatnonzero(cone.signs)
     s = cone.signs[P]
@@ -99,22 +104,30 @@ def _gordan(A: np.ndarray, cone: ConeSpec):
     B[-1, :n] = 1.0
     e = np.zeros(B.shape[0])
     e[-1] = 1.0
+
+    def side(u):
+        # the witness must lie in the cone whatever the solver returned
+        u = np.maximum(u, 0.0)
+        r = e - B @ u
+        if np.max(np.abs(r)) <= TOL_FEAS:
+            w = np.zeros(cone.N)
+            w[P] = s * u[:n]
+            return "fails", w
+        if r[-1] > 0:
+            y = r[:-1] / r[-1]
+            if np.all(B[:-1, :n].T @ y <= -0.5) and (not extra or y[m] < 0.5):
+                return "holds", y[:m]
+        return None
+
     try:
-        u, _ = nnls(B, e, maxiter=10 * B.shape[1])
-    except RuntimeError as exc:
-        raise SolverFailure(f"NNLS: {exc}") from exc
-    # the witness must lie in the cone whatever the solver returned
-    u = np.maximum(u, 0.0)
-    r = e - B @ u
-    if np.max(np.abs(r)) <= TOL_FEAS:
-        w = np.zeros(cone.N)
-        w[P] = s * u[:n]
-        return "fails", w
-    if r[-1] > 0:
-        y = r[:-1] / r[-1]
-        if np.all(B[:-1, :n].T @ y <= -0.5) and (not extra or y[m] < 0.5):
-            return "holds", y[:m]
-    raise SolverFailure("NNLS: neither side of Gordan's alternative verified")
+        verdict = side(nnls(B, e, maxiter=10 * B.shape[1])[0])
+    except RuntimeError:
+        verdict = None
+    if verdict is None:
+        verdict = side(lsq_linear(B, e, bounds=(0.0, np.inf), method="bvls").x)
+    if verdict is None:
+        raise SolverFailure("NNLS and BVLS: neither side of Gordan's alternative verified")
+    return verdict
 
 
 def check_kernel_cone(A, cone: ConeSpec) -> CertificateResult:
@@ -123,8 +136,9 @@ def check_kernel_cone(A, cone: ConeSpec) -> CertificateResult:
     Verdict "fails" iff a nonzero cone element w has Aw = 0 (and sum(w) <= 0
     with the sum row); its witness is normalized to sum|w| = 1, and its
     margin is ||Aw||.  Decided by one NNLS solve of Gordan's alternative
-    (``_gordan``), whose verdict is backed by a checked object either way
-    and which raises SolverFailure otherwise.  The {0} cone, with no nonzero
+    (``_gordan``, with a BVLS solve when NNLS's answer verifies neither
+    side), whose verdict is backed by a checked object either way and which
+    raises SolverFailure otherwise.  The {0} cone, with no nonzero
     sign, holds.
     """
     A = _entries(A)

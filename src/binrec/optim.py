@@ -3,12 +3,10 @@
 LPs go to scipy's HiGHS dual simplex with its presolve off: on binrec's
 dense LPs presolve took about 30% of each solve at N=100, and a third at
 N=500.  Least squares over [0,1]^N goes to scipy's BVLS
-(``lsq_linear(method="bvls")``) when A has full column rank, and otherwise
-to its trust-region reflective method (``lsq_linear(method="trf")``),
-which is polished by an active-set step when its point misses the
-projected-gradient fixed-point test.
+(``lsq_linear(method="bvls")``; Stark and Parker, Comput. Stat. 10, 1995)
+whatever the shape of A.
 ``solve_box_qp`` solves the same program plus a linear term c.x by
-scipy's L-BFGS-B, never polished: ``recovery.robust_box_bp`` calls it with
+scipy's L-BFGS-B: ``recovery.robust_box_bp`` calls it with
 c = lam*1, once for lam = 0 and then once per probe of its search over
 lam, and the acceptance tests call
 it with c = 0 as a multi-start uniqueness probe.  Both report convergence
@@ -16,12 +14,12 @@ by the same fixed-point test.  ``lp_feasible`` has no library caller
 since that check left HiGHS for NNLS; it stays for the benchmark tracer's
 phase-1 probe and the tests' kernel-cone oracle.
 
-BVLS is an active-set method and lands on a vertex of the box when the
+BVLS is an active-set method and can land on a vertex of the box where the
 least-squares solution set is not a single point, which would make box_ls
 look like it recovers binary signals that its program does not determine.
-With full column rank the objective is strictly convex and its minimizer
-unique, so there is nothing to choose between; on tall matrices TRF can
-stop short of the fixed point where BVLS finishes.
+So ``solve_box_ls`` returns a vertex only when ``analysis.check_kernel_cone``
+proves it the unique minimizer, and otherwise steps off it along the
+check's kernel witness to another minimizer.
 """
 
 from __future__ import annotations
@@ -39,9 +37,9 @@ TOL_FEAS = 1e-9
 
 
 class SolverFailure(RuntimeError):
-    """A solver stopped without a verdict: HiGHS on an LP, or the NNLS
-    solve behind ``analysis.check_kernel_cone`` (iteration limit, numerical
-    trouble, an answer that fails its post-solve check).
+    """A solver stopped without a verdict: HiGHS on an LP, or the NNLS and
+    BVLS solves behind ``analysis.check_kernel_cone`` (iteration limit,
+    numerical trouble, an answer that fails its post-solve check).
 
     Deliberately distinct from an infeasible/unbounded verdict, which is a
     property of the problem and reported through LpSolution.status.
@@ -173,29 +171,6 @@ class _BoxQp:
         """The projected-gradient step from x moves it by at most tol."""
         return bool(np.linalg.norm(x - self.proj(x - self.gamma * self.grad(x))) <= tol)
 
-    def polish(self, x):
-        """Active-set polish: snap near-bound coordinates, solve the free
-        block exactly, and keep the result only if the objective strictly
-        decreases.  Iterative methods stall on near-singular A (solution
-        error can sit orders of magnitude above the fixed-point residual
-        along tiny-singular-value directions); this finishes the job."""
-        A = self.A
-        f_x = self.obj(x)
-        for snap in (1e-3, 1e-6, 1e-9):
-            lo_act = x <= snap
-            hi_act = 1.0 - x <= snap
-            cand = np.where(lo_act, 0.0, np.where(hi_act, 1.0, x))
-            free = ~(lo_act | hi_act)
-            if np.any(free):
-                r = self.b - A[:, ~free] @ cand[~free]
-                Af = A[:, free]
-                sol = np.linalg.lstsq(Af.T @ Af, Af.T @ r - self.c[free], rcond=None)[0]
-                cand[free] = self.proj(sol)
-            f_cand = self.obj(cand)
-            if f_cand < f_x:
-                x, f_x = cand, f_cand
-        return x
-
     def result(self, x, iterations, tol, capped) -> BoxLsResult:
         """``capped``: the solver stopped at its iteration cap."""
         converged = self.fixed_point(x, tol)
@@ -210,10 +185,8 @@ def solve_box_qp(A, b, c=0.0, tol=1e-10, x0=None) -> BoxLsResult:
     """min 0.5*||Ax-b||^2 + c.x over [0,1]^N (``c`` a vector or a scalar
     for c*1), by scipy's L-BFGS-B from ``x0`` (the origin when None), with
     no stop on the objective's progress, its projected-gradient stop at
-    ``tol`` and a cap of 50 N iterations.
-
-    The point is not polished: a multi-start caller sees tied optima as
-    they are, where the polish would break ties toward on-bound points."""
+    ``tol`` and a cap of 50 N iterations.  A multi-start caller sees tied
+    optima as the solver leaves them."""
     N = np.shape(A)[1]
     x = np.clip(np.zeros(N) if x0 is None else np.asarray(x0, dtype=float), 0.0, 1.0)
     qp = _BoxQp(A, b, c)
@@ -224,25 +197,32 @@ def solve_box_qp(A, b, c=0.0, tol=1e-10, x0=None) -> BoxLsResult:
 
 
 def solve_box_ls(A, b, tol=1e-10) -> BoxLsResult:
-    """min ||Ax-b||_2 over [0,1]^N.  When A (m x N) has full column rank,
-    that is m >= N and ``np.linalg.matrix_rank(A) == N`` at numpy's default
-    tolerance (largest singular value * max(m, N) * machine epsilon), by
-    scipy's BVLS; otherwise by its trust-region reflective method, polished
-    when its point misses the fixed point.  ``converged`` is the
+    """min ||Ax-b||_2 over [0,1]^N by scipy's BVLS, whatever the shape of A.
+
+    When BVLS's point lies within TOL_FEAS of a vertex v, ``check_kernel_cone``
+    on the sign cone of v's support decides what comes back.  If it holds,
+    no feasible direction of the box at v lies in ker(A), so v is the only
+    point z of the box with Az = Av, hence the unique minimizer, and v is
+    returned.  If it fails, its witness w is such a direction (Aw = 0), and
+    v + w/(2 max|w|) is returned: a minimizer too, in the box and 1/2 away
+    from a bound in some coordinate, so off every vertex.  With no verdict
+    BVLS's point is returned unchanged.  ``converged`` is the
     projected-gradient fixed-point test at ``tol``, and a point that misses
-    it is ``max_iter`` only when the solver hit scipy's own iteration cap
-    (100 for TRF, N for BVLS)."""
+    it is ``max_iter`` only when BVLS hit scipy's iteration cap (N)."""
+    # analysis imports this module
+    from .analysis import ConeSpec, check_kernel_cone
+
     qp = _BoxQp(A, b)
-    m, N = qp.A.shape
-    full_rank = m >= N and np.linalg.matrix_rank(qp.A) == N
-    res = lsq_linear(qp.A, qp.b, bounds=(0.0, 1.0),
-                     method="bvls" if full_rank else "trf", tol=tol)
+    res = lsq_linear(qp.A, qp.b, bounds=(0.0, 1.0), method="bvls", tol=tol)
     x = qp.proj(res.x)
-    # TRF's iterates stay strictly inside the box, so they often end short of
-    # the fixed point; only then polish.  Polishing a point that already
-    # passes would only trade one minimizer for another, snapping towards a
-    # vertex of the box where the least-squares solution set is wide.
-    if not full_rank and not qp.fixed_point(x, tol):
-        x = qp.polish(x)
-    # lsq_linear's status 0 is its iteration limit, for either method
+    v = np.round(x)
+    if np.max(np.abs(x - v)) <= TOL_FEAS:
+        try:
+            cone = check_kernel_cone(qp.A, ConeSpec.sign_cone(v.size, np.flatnonzero(v)))
+        except SolverFailure:
+            pass
+        else:
+            w = cone.witness
+            x = v if cone.holds else v + w / (2.0 * np.max(np.abs(w)))
+    # lsq_linear's status 0 is its iteration limit
     return qp.result(x, res.nit, tol, capped=res.status == 0)

@@ -247,10 +247,13 @@ def box_ls(p: RecoveryProblem) -> RecoveryReport:
     Every minimizer has the same Az, since the objective is strictly convex
     in Az, so x is the unique minimizer and is returned as ``converged``,
     with no solver run.  Otherwise, or when a solver stops without a
-    verdict, ``solve_box_ls`` runs.  The shortcut is not tried with
-    m >= N, where the solver runs BVLS directly on a full-rank A, nor on
-    noisy b (``p.eta`` > 0), where Ax = b almost never has a point in the
-    box and box-BP's LP would be infeasible or, rounded, no minimizer.
+    verdict, ``solve_box_ls`` runs and its answer is returned as it is:
+    BVLS's point, or the vertex it lies on only when the same kernel-cone
+    check proves that vertex the unique minimizer.  The shortcut is not
+    tried with m >= N, where A generically has full column rank and BVLS
+    finds the unique minimizer without an LP, nor on noisy b
+    (``p.eta`` > 0), where Ax = b almost never has a point in the box and
+    box-BP's LP would be infeasible or, rounded, no minimizer.
     On a noiseless problem where box-BP has not run, the shortcut runs it:
     its NNLS candidates and, when neither is certified, its LP.
     """
@@ -281,8 +284,13 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
     x(lam) is piecewise linear, so r(lam)^2 is piecewise quadratic and one
     linear solve finds where a piece crosses the ball.
 
-    The lam = 0 solve (``solve_box_qp``) is the feasibility test:
-    r(0) > eta + 1e-7 is ``infeasible``.  Then each step takes the
+    The lam = 0 solve (``solve_box_qp``) is the feasibility test.  Its
+    point x is box-LS's minimizer only to the solver's precision, so
+    r(0) > eta + 1e-7 is ``infeasible`` only with box-LS's weak duality as
+    proof: with g = A^T(Ax - b) and G = g.x - sum(min(g, 0)), every z in
+    the box has ||Az - b||^2 >= r^2 - 2G, so r^2 - 2G > eta^2 leaves the
+    ball without a point of the box.  Without that proof the search starts
+    with no point known in the ball.  Then each step takes the
     coordinates of the last solve's point more than 1e-9 inside the box as
     the free set of its piece of the path, solves the free block for x(lam)
     along the whole piece and steps to the lam where the residual meets the
@@ -302,7 +310,8 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
     ``optimality_gap``.  ``optimal`` means gap <= ROBUST_GAP_TOL *
     max(1, 1.x) at the step's lam.  After _MAX_PROBES probes without a
     proof the status is ``max_iter``, with the bracket's feasible end and
-    its gap (None at lam = 0).  With r(0) in [eta*(1 - 1e-12), eta + 1e-7]
+    its gap (None at lam = 0), or with no point when no solve landed in
+    the ball.  With r(0) in [eta*(1 - 1e-12), eta + 1e-7]
     there is no room to aim inside the ball, and the lam = 0 point comes
     back ``stalled``.
     """
@@ -321,12 +330,16 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
     res = solve_box_qp(A, b)
     x, r = res.x, res.residual_norm
     if r > eta + 1e-7:
-        return RecoveryReport(None, "robust_box_bp", np.nan, "infeasible")
-    if r >= eta * (1.0 - _AIM):
+        # box-LS's weak duality: every z in the box has ||Az - b||^2 >= r^2 - 2G
+        g = A.T @ (A @ x - b)
+        if r * r - 2.0 * (g @ x - np.minimum(g, 0).sum()) > eta * eta:
+            return RecoveryReport(None, "robust_box_bp", np.nan, "infeasible")
+    elif r >= eta * (1.0 - _AIM):
         # no room to aim inside the ball: the lam = 0 point is all there is
         return RecoveryReport(x, "robust_box_bp", float(np.sum(x)), "stalled")
-    # r(lo) <= eta < r(hi), with x_lo = x(lo); x(lam) = 0 from max(A^T b) on
-    lo, hi, x_lo = 0.0, float(np.max(A.T @ b)), x
+    # r(hi) > eta, and r(lo) <= eta with x_lo = x(lo) once a point in the
+    # ball is known; x(lam) = 0 from max(A^T b) on
+    lo, hi, x_lo = 0.0, float(np.max(A.T @ b)), x if r <= eta else None
     for _ in range(_MAX_PROBES):
         step = _piece_root(A, b, eta, x)
         if step is not None:
@@ -343,6 +356,8 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
             lo, x_lo = lam, x
         else:
             hi = lam
+    if x_lo is None:
+        return RecoveryReport(None, "robust_box_bp", np.nan, "max_iter")
     gap = _everett(A, b, eta, lo, x_lo)[1] if lo else None
     return RecoveryReport(x_lo, "robust_box_bp", float(np.sum(x_lo)), "max_iter",
                           optimality_gap=gap)

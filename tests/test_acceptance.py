@@ -66,8 +66,8 @@ def _ls_unique_recovers(A, b, x0):
     """box-LS as a uniqueness probe: 1_K must be reached from several starts.
     Returns (recovered, number of probe solves that did not converge)."""
     N = A.shape[1]
-    # raw multi-start descent: the active-set polish would collapse tied
-    # optima onto one vertex and mask non-uniqueness
+    # raw multi-start descent, which sees tied optima as the solver leaves
+    # them: each start must reach 1_K on its own
     recovered, unconverged = True, 0
     for start in (np.zeros(N), np.ones(N), np.full(N, 0.5)):
         res = solve_box_qp(A, b, x0=start, tol=1e-11)
@@ -298,15 +298,15 @@ def _criterion_8_draw(t):
 
 
 def test_box_ls_converges_on_criterion_8_draw_5():
-    # TRF stopped here at a projected-gradient residual of 1.3e-8 against
-    # tol 1e-10, and its polish did not reach the fixed point
+    # trust-region reflective least squares stopped here at a
+    # projected-gradient residual of 1.3e-8 against tol 1e-10
     A, b = _criterion_8_draw(5)
     assert box_ls(RecoveryProblem(A, b)).solver_status == "converged"
 
 
 def test_box_ls_converges_on_criterion_8_tall_draws():
-    # the draws among criterion 8's first 40 on which TRF stalled; A is
-    # 3,062 x 200 with full column rank, so box_ls runs BVLS
+    # the draws among criterion 8's first 40 on which trust-region
+    # reflective least squares stalled; A is 3,062 x 200
     for t in (5, 13, 15, 16, 22, 26, 27, 31, 32, 34):
         A, b = _criterion_8_draw(t)
         rep = box_ls(RecoveryProblem(A, b))

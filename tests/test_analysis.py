@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 import binrec.analysis
 from binrec.analysis import (ConeSpec, build_dual_certificate,
                              certificate_threshold, check_hkplus_dual,
                              check_kernel_cone, verify_certificate)
+from binrec.ensembles import EnsembleConfig, gen_matrix
 from binrec.optim import TOL_FEAS, SolverFailure
 from binrec.recovery import RecoveryProblem, box_bp, recovery_success
 from oracles import lp_kernel_cone_fails
@@ -132,39 +134,74 @@ def test_kernel_cone_agrees_with_the_lp_oracle():
     assert min(verdicts.values()) >= 50, verdicts
 
 
-def _returning(u):
+def _answering(monkeypatch, u):
+    """Both of _gordan's solves answer u: NNLS returns it and BVLS returns
+    it.  With u None, NNLS raises its iteration limit and BVLS stops at its
+    iteration limit on the origin."""
     def fake_nnls(B, e, *, maxiter):
+        if u is None:
+            raise RuntimeError("Maximum number of iterations reached.")
         return np.asarray(u, dtype=float), 0.0
-    return fake_nnls
+
+    def fake_bvls(B, e, **kwargs):
+        x = np.zeros(B.shape[1]) if u is None else np.asarray(u, dtype=float)
+        return OptimizeResult(x=x, status=0 if u is None else 1)
+
+    monkeypatch.setattr(binrec.analysis, "nnls", fake_nnls)
+    monkeypatch.setattr(binrec.analysis, "lsq_linear", fake_bvls)
 
 
-def _raising(B, e, *, maxiter):
-    raise RuntimeError("Maximum number of iterations reached.")
-
-
-@pytest.mark.parametrize("A, cone, nnls", [
+@pytest.mark.parametrize("A, cone, u", [
     # no answer at all
-    ([[1.0, 1.0]], ConeSpec.sign_cone(2, [0]), _raising),
+    ([[1.0, 1.0]], ConeSpec.sign_cone(2, [0]), None),
     # u = 0: neither a solution nor a separating y (every v-column at 0)
-    ([[1.0, 1.0]], ConeSpec.sign_cone(2, [0]), _returning([0.0, 0.0])),
+    ([[1.0, 1.0]], ConeSpec.sign_cone(2, [0]), [0.0, 0.0]),
     # every v-column at -1, but the slack entry y_sum = 1 > 0
-    ([[1.0, -1.0]], ConeSpec([-1.0, -1.0], sum_nonpos=True), _returning([0.25, 0.25, 0.0])),
+    ([[1.0, -1.0]], ConeSpec([-1.0, -1.0], sum_nonpos=True), [0.25, 0.25, 0.0]),
     # the solution (1/2, 1/2) scaled off the normalization row by 1e-6
-    ([[1.0, 1.0]], ConeSpec.sign_cone(2, [0]), _returning([0.5 + 5e-7, 0.5 + 5e-7])),
+    ([[1.0, 1.0]], ConeSpec.sign_cone(2, [0]), [0.5 + 5e-7, 0.5 + 5e-7]),
     # Bu = e exactly, but u = (2, -1) is no cone element: ker(A) misses the
     # nonnegative orthant here
-    ([[1.0, 2.0]], ConeSpec.sign_cone(2, []), _returning([2.0, -1.0])),
+    ([[1.0, 2.0]], ConeSpec.sign_cone(2, []), [2.0, -1.0]),
 ], ids=["raises", "zero", "slack", "off-row", "negative"])
-def test_unverified_nnls_answers_are_solver_failures(monkeypatch, A, cone, nnls):
+def test_unverified_nnls_answers_are_solver_failures(monkeypatch, A, cone, u):
     # a verdict stands only on an object checked after the solve; each fake
-    # answer, taken at face value, would give a wrong verdict or none
+    # answer, taken at face value, would give a wrong verdict or none, and
+    # BVLS giving the same answer does not turn it into one
     A = np.array(A)
-    monkeypatch.setattr(binrec.analysis, "nnls", nnls)
+    _answering(monkeypatch, u)
     with pytest.raises(SolverFailure):
         check_kernel_cone(A, cone)
     if not cone.sum_nonpos:
         with pytest.raises(SolverFailure):
             check_hkplus_dual(A, np.flatnonzero(cone.signs < 0))
+
+
+def test_bvls_rescues_a_bad_nnls_answer(monkeypatch):
+    # NNLS answers u = 0, which verifies neither side of the alternative;
+    # BVLS on the same system gives the oracle's verdict, checked the same way
+    monkeypatch.setattr(binrec.analysis, "nnls",
+                        lambda B, e, *, maxiter: (np.zeros(B.shape[1]), 0.0))
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        A, cone = _random_cone_instance(rng)
+        if not cone.signs.any():
+            continue
+        res = check_kernel_cone(A, cone)
+        assert res.holds != lp_kernel_cone_fails(A, cone.signs, cone.sum_nonpos)
+        if not res.holds:
+            assert np.max(np.abs(A @ res.witness)) <= TOL_FEAS
+
+
+def test_kernel_cone_on_a_degenerate_system_has_a_verdict():
+    # column 3 of this {0, 2} matrix is zero.  scipy's nnls returned a point
+    # of residual 0.523 there, which it reported as 0.183 and which verifies
+    # neither side; BVLS's point verifies the holds side
+    A = gen_matrix(EnsembleConfig(kind="biased", m=5, N=10, seed=2, mu=1, sigma=1,
+                                  lambda_bound=1))
+    cone = ConeSpec.sign_cone(10, [0, 2, 6, 8, 9], sum_nonpos=True)
+    assert not lp_kernel_cone_fails(A.entries, cone.signs, cone.sum_nonpos)
+    assert check_kernel_cone(A, cone).holds
 
 
 def test_kernel_cone_K_complement_symmetry():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -274,6 +275,38 @@ def test_solver_failures_recorded_not_raised():
     cfg = _small_config(programs=("robust_box_bp",), noise_eps=None)
     d = run_phase_transition(cfg)
     assert all(r.solver_status for r in d.records)
+
+
+def test_a_raising_program_is_an_error_record(monkeypatch, tmp_path):
+    # a SolverFailure inside run_cell becomes one error record; the trial's
+    # other programs are recorded as they would be without it
+    import binrec.experiments
+    from binrec.optim import SolverFailure
+    cfg = _small_config(programs=("box_bp", "box_ls", "mibi_bp"), trials=2)
+    clean = run_cell(cfg, 0, 0)
+    solve = binrec.experiments.solve
+
+    def failing(program, p):
+        if program == "box_ls":
+            raise SolverFailure("no verdict")
+        return solve(program, p)
+
+    monkeypatch.setattr(binrec.experiments, "solve", failing)
+    records = run_cell(cfg, 0, 0)
+    assert len(records) == len(clean) == 6
+    for rec, ref in zip(records, clean):
+        if rec.program == "box_ls":
+            assert not rec.success and np.isnan(rec.l2_error)
+            assert rec.solver_status == "error:SolverFailure"
+        else:
+            assert rec == ref
+    path = str(tmp_path / "phase.csv")
+    write_csv(PhaseDiagram(cfg, records), path)
+    back = read_csv(path)
+    assert np.array_equal([r.l2_error for r in back], [r.l2_error for r in records],
+                          equal_nan=True)
+    assert ([dataclasses.replace(r, l2_error=0.0) for r in back]
+            == [dataclasses.replace(r, l2_error=0.0) for r in records])
 
 
 def test_noisy_robust_sweep_records_only_optimal_solves():

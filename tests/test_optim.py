@@ -225,20 +225,45 @@ def test_box_ls_unique_feasible_point_recovered():
     pytest.fail("no instance with trivial kernel-cone intersection found")
 
 
+def _box_ls_instance():
+    # b far outside A's image of the box, so that most bounds are active
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((30, 80))
+    return A, 3.0 * rng.standard_normal(30)
+
+
+def _fixed_point_residual(A, b, x):
+    gamma = _BoxQp(A, b).gamma
+    return np.linalg.norm(x - np.clip(x - gamma * A.T @ (A @ x - b), 0.0, 1.0))
+
+
 def test_box_ls_max_iter_flagged_not_raised(monkeypatch):
     # box-LS keeps scipy's own iteration cap; a cap of 2 makes it bind
     monkeypatch.setattr(optim, "lsq_linear", functools.partial(lsq_linear, max_iter=2))
-    rng = np.random.default_rng(8)
-    A = rng.standard_normal((10, 30))
-    b = rng.standard_normal(10)
+    A, b = _box_ls_instance()
     res = solve_box_ls(A, b)
-    assert res.x.shape == (30,)
+    assert res.x.shape == (80,)
     assert np.all((res.x >= 0) & (res.x <= 1))
     # converged must truthfully report the fixed-point criterion
-    gamma = _BoxQp(A, b).gamma
-    fp = np.linalg.norm(res.x - np.clip(res.x - gamma * A.T @ (A @ res.x - b), 0.0, 1.0))
-    assert res.converged == (fp <= 1e-10)
-    assert res.status == ("converged" if res.converged else "max_iter")
+    assert _fixed_point_residual(A, b, res.x) > 1e-10
+    assert not res.converged and res.status == "max_iter"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_box_ls_returns_a_vertex_only_when_it_is_the_unique_minimizer(seed):
+    # on wide, square and tall Gaussian or degenerate {0, 2} matrices, with
+    # b = A x0 for binary x0, noisy or not
+    rng = np.random.default_rng(seed)
+    m, N = int(rng.integers(1, 10)), int(rng.integers(1, 13))
+    A = rng.standard_normal((m, N)) if rng.random() < 0.5 else 2.0 * rng.integers(0, 2, (m, N))
+    x0 = rng.integers(0, 2, N).astype(float)
+    b = A @ x0 + (0.1 * rng.standard_normal(m) if rng.random() < 0.3 else 0.0)
+    res = solve_box_ls(A, b)
+    assert np.all((res.x >= 0) & (res.x <= 1))
+    v = np.round(res.x)
+    if np.max(np.abs(res.x - v)) <= TOL_FEAS:
+        assert check_kernel_cone(A, ConeSpec.sign_cone(N, np.flatnonzero(v))).holds
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (6, 4)])
@@ -263,14 +288,3 @@ def test_box_qp_linear_term(c):
     # the warm start changes the path, not the answer
     again = solve_box_qp(np.eye(5), b, c=c, x0=np.full(5, 0.5))
     assert np.allclose(again.x, res.x, atol=1e-12)
-
-
-def test_box_qp_polish_keeps_the_linear_term():
-    # the active-set polish solves the free block of the same objective
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((8, 5))
-    b = A @ np.full(5, 0.5)
-    qp = _BoxQp(A, b, 0.1)
-    x = qp.polish(np.full(5, 0.5))
-    assert qp.fixed_point(x, 1e-12)
-    assert np.allclose(A.T @ (A @ x - b) + 0.1, 0.0, atol=1e-12)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import nnls
+from scipy.optimize import OptimizeResult, lsq_linear, nnls
 
 from binrec import recovery
 from binrec.analysis import ConeSpec, check_kernel_cone
@@ -355,6 +355,25 @@ def test_robust_eta_just_above_the_box_ls_residual_is_proven(shape):
         assert np.linalg.norm(A @ rep.x_hat - b) <= ls + d, d
 
 
+def test_robust_infeasible_only_with_a_proof(monkeypatch):
+    # desk-sweep trial k=30, m=40 (master seed 8), noiseless, so x0 lies in
+    # the ball.  The lam = 0 solve stops at L-BFGS-B's cap of 50 N
+    # iterations at a residual of 5.3e-4, above eta = 1e-4, but box-LS's
+    # weak duality does not prove the ball out of reach, so the search runs
+    _, A, x0, b = sweep_trial(desk_scale_config(8), 2, 3, 6)
+    A = A.entries
+    first = solve_box_qp(A, b)
+    assert first.status == "max_iter" and first.residual_norm > 1e-4 + 1e-7
+    rep = robust_box_bp(RecoveryProblem(A, b, eta=1e-4))
+    assert rep.solver_status == "optimal"
+    assert np.linalg.norm(A @ rep.x_hat - b) <= 1e-4
+    assert rep.objective <= x0.k
+    # with no probe, no point in the ball is known: max_iter without a point
+    monkeypatch.setattr(recovery, "_MAX_PROBES", 0)
+    rep = robust_box_bp(RecoveryProblem(A, b, eta=1e-4))
+    assert rep.solver_status == "max_iter" and rep.x_hat is None
+
+
 def test_robust_probe_cap_gives_max_iter(monkeypatch):
     monkeypatch.setattr(recovery, "_MAX_PROBES", 1)
     A, b = _noisy_robust_instance(0, 0)
@@ -399,24 +418,40 @@ def _desk_sweep_config(master_seed, kind="biased"):
 
 
 def test_box_ls_keeps_its_own_minimizer_when_the_feasible_set_is_wide():
-    # desk-sweep trial k=80, m=40 (master seed 21): {x in box: Ax = Ax0}
-    # reaches 14.7 from x0 in l1.  A finished TRF point is returned as is;
-    # polishing it would snap it onto the vertex x0 and claim a recovery
-    # that the program does not determine.
-    _, A, x0, b = sweep_trial(_desk_sweep_config(21), 2, 1, 0)
-    rep = box_ls(RecoveryProblem(A, b))
-    assert rep.solver_status == "converged"
-    assert rep.objective <= 1e-8
-    assert np.linalg.norm(rep.x_hat - x0.dense()) >= 1.0
+    # desk-sweep trials k=10, m=30 (master seeds 1 and 12) and k=80, m=40
+    # (master seed 21), where {x in box: Ax = Ax0} reaches about 10 from x0
+    # in l1 and raw BVLS lands on the vertex x0.  Returning it would claim a
+    # recovery that the program does not determine; the kernel-cone check
+    # fails there, and its witness moves the point half a unit off x0.
+    for seed, cell, t in ((1, (0, 0), 2), (12, (0, 0), 5), (21, (2, 1), 0)):
+        _, A, x0, b = sweep_trial(_desk_sweep_config(seed), *cell, t)
+        raw = lsq_linear(A.entries, b, bounds=(0.0, 1.0), method="bvls").x
+        assert np.max(np.abs(raw - x0.dense())) <= 1e-9, seed
+        rep = box_ls(RecoveryProblem(A, b))
+        assert rep.solver_status == "converged", seed
+        assert rep.objective <= 1e-8, seed
+        assert np.all((rep.x_hat >= 0) & (rep.x_hat <= 1)), seed
+        assert np.linalg.norm(rep.x_hat - x0.dense()) >= 0.5, seed
 
 
-def test_box_ls_stalled_short_of_its_cap_is_not_max_iter():
-    # desk-sweep trial k=10, m=30 (master seed 12): TRF stops on its own
-    # tolerance after 15 of its 100 iterations, short of the fixed point
-    _, A, _, b = sweep_trial(_desk_sweep_config(12), 0, 0, 5)
-    rep = box_ls(RecoveryProblem(A, b))
+def test_box_ls_stalled_short_of_its_cap_is_not_max_iter(monkeypatch):
+    # BVLS at a KKT tolerance of 1 stops on its own, well inside its
+    # iteration cap and short of the fixed point; b lies far outside A's
+    # image of the box, so that most bounds are active
+    import binrec.optim
+
+    def loose(*args, **kwargs):
+        return lsq_linear(*args, **{**kwargs, "tol": 1.0})
+
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((30, 80))
+    b = 3.0 * rng.standard_normal(30)
+    monkeypatch.setattr(binrec.optim, "lsq_linear", loose)
+    rep = box_ls(RecoveryProblem(A, b, eta=0.1))
     assert rep.solver_status == "stalled"
     assert not rep.feasible
+    monkeypatch.undo()
+    assert box_ls(RecoveryProblem(A, b, eta=0.1)).solver_status == "converged"
 
 
 def _counting_solve_box_ls(monkeypatch):
@@ -491,17 +526,28 @@ def test_box_ls_runs_the_solver_when_the_lp_fails(monkeypatch):
     assert np.array_equal(rep.x_hat, solve_box_ls(A.entries, b).x)
 
 
-def test_box_ls_runs_the_solver_when_the_cone_check_fails(monkeypatch):
-    # a kernel-cone check without a verdict certifies nothing either
+def _no_cone_verdict(monkeypatch):
+    """Both solves behind a kernel-cone check stop at their iteration limit:
+    NNLS raises it, and BVLS returns the origin, which verifies nothing."""
     import binrec.analysis
 
-    def no_verdict(B, e, *, maxiter):
+    def no_nnls(B, e, *, maxiter):
         raise RuntimeError("Maximum number of iterations reached.")
 
+    def no_bvls(B, e, **kwargs):
+        return OptimizeResult(x=np.zeros(B.shape[1]), status=0)
+
+    monkeypatch.setattr(binrec.analysis, "nnls", no_nnls)
+    monkeypatch.setattr(binrec.analysis, "lsq_linear", no_bvls)
+
+
+def test_box_ls_runs_the_solver_when_the_cone_check_fails(monkeypatch):
+    # a kernel-cone check without a verdict certifies nothing either, and
+    # the solver's own vertex rule then returns BVLS's point as it is
     calls = _counting_solve_box_ls(monkeypatch)
     _, A, x0, b = sweep_trial(_desk_sweep_config(1), 0, 2, 0)
     assert box_ls(RecoveryProblem(A, b)).solver_status == "converged" and not calls
-    monkeypatch.setattr(binrec.analysis, "nnls", no_verdict)
+    _no_cone_verdict(monkeypatch)
     with pytest.raises(SolverFailure):
         check_kernel_cone(A, ConeSpec.sign_cone(A.N, x0.support))
     rep = box_ls(RecoveryProblem(A, b))
@@ -510,9 +556,9 @@ def test_box_ls_runs_the_solver_when_the_cone_check_fails(monkeypatch):
 
 
 def test_box_ls_shortcut_declines_a_binary_point_without_the_cone():
-    # the trial of the "stalled" test above: box-BP's point is x0 and fits
-    # b, but ker(A) meets its cone, so x0 is not the only minimizer and the
-    # shortcut must not return it
+    # desk-sweep trial k=10, m=30 (master seed 12): box-BP's point is x0
+    # and fits b, but ker(A) meets its cone, so x0 is not the only minimizer
+    # and the shortcut must not return it
     _, A, x0, b = sweep_trial(_desk_sweep_config(12), 0, 0, 5)
     x = round_to_binary(box_bp(RecoveryProblem(A, b)).x_hat)
     assert np.array_equal(x, x0.dense())
@@ -658,9 +704,8 @@ def test_certification_clips_nnls_output_to_the_box(monkeypatch):
 @pytest.mark.parametrize("module", ["recovery", "analysis"])
 def test_certification_without_a_verdict_runs_the_lp(monkeypatch, module):
     # an NNLS solve that stops at its iteration cap, for the candidates
-    # (recovery) or in a kernel-cone check (analysis, a SolverFailure),
-    # certifies nothing
-    import binrec.analysis
+    # (recovery), or a kernel-cone check whose NNLS and BVLS solves both
+    # stop without a verdict (analysis, a SolverFailure), certifies nothing
     import binrec.recovery
 
     def no_verdict(*args, **kwargs):
@@ -670,7 +715,10 @@ def test_certification_without_a_verdict_runs_the_lp(monkeypatch, module):
     calls = _counting_solve_lp(monkeypatch)
     box_bp(RecoveryProblem(A, A @ x0))
     assert not calls
-    monkeypatch.setattr(getattr(binrec, module), "nnls", no_verdict)
+    if module == "recovery":
+        monkeypatch.setattr(binrec.recovery, "nnls", no_verdict)
+    else:
+        _no_cone_verdict(monkeypatch)
     for program in (box_bp, box_bp_mirror):
         rep = program(RecoveryProblem(A, A @ x0))
         assert rep.solver_status == "optimal"
@@ -679,14 +727,15 @@ def test_certification_without_a_verdict_runs_the_lp(monkeypatch, module):
 
 
 def test_noisy_problems_take_no_certification(monkeypatch):
-    import binrec.analysis
+    # no NNLS candidate and no LP beyond the two programs' own; box_ls's
+    # solver may run one kernel-cone check of its own, since BVLS ends on a
+    # vertex of this 6 x 6 instance
     import binrec.recovery
 
     def never(*args, **kwargs):
         raise AssertionError("NNLS ran on a noisy problem")
 
     monkeypatch.setattr(binrec.recovery, "nnls", never)
-    monkeypatch.setattr(binrec.analysis, "nnls", never)
     calls = _counting_solve_lp(monkeypatch)
     A, x0 = _random_instance(np.random.default_rng(3), 6, 6, 3)
     p = RecoveryProblem(A, A @ x0, eta=0.1)
