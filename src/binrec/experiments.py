@@ -68,6 +68,10 @@ class ExperimentConfig:
                 raise ValueError("grid fractions must lie in (0, 1]")
             if any(b <= a for a, b in zip(fr, fr[1:])):
                 raise ValueError("grid fractions must be strictly increasing")
+        # sweep_trial's m, at least 1 exactly when N is (every f lies in (0, 1]);
+        # a cell with no measurement would fail only when the sweep reached it
+        if any(int(round(f * self.N)) < 1 for f in self.m_fractions):
+            raise ValueError(f"an m fraction gives no measurement at N = {self.N}")
         if self.noise_eps is not None and not 0 <= self.noise_eps < np.inf:
             raise ValueError("noise_eps must be finite and nonnegative")
         if not 0 < self.success_tol < np.inf:

@@ -6,13 +6,17 @@ N=500.  Least squares over [0,1]^N goes to scipy's BVLS
 (``lsq_linear(method="bvls")``; Stark and Parker, Comput. Stat. 10, 1995)
 whatever the shape of A.
 ``solve_box_qp`` solves the same program plus a linear term c.x by
-scipy's L-BFGS-B: ``recovery.robust_box_bp`` calls it with
-c = lam*1, once for lam = 0 and then once per probe of its search over
-lam, and the acceptance tests call
-it with c = 0 as a multi-start uniqueness probe.  Both report convergence
-by the same fixed-point test.  ``lp_feasible`` has no library caller
-since that check left HiGHS for NNLS; it stays for the benchmark tracer's
-phase-1 probe and the tests' kernel-cone oracle.
+scipy's L-BFGS-B: ``recovery.robust_box_bp`` calls it with c = lam*1, once
+for lam = 0 and then once per probe of its search over lam, and the
+acceptance tests call it with c = 0 as a multi-start uniqueness probe.
+Both build their ``BoxLsResult`` through one helper, which keeps the
+point, its residual, the iteration count and the problem solved.  The
+projected-gradient fixed-point test behind ``converged`` and ``status``,
+with its Gram eigendecomposition, runs only when one of them is read, so
+``robust_box_bp``, which reads the point and its residual alone, runs
+none.  ``lp_feasible`` has no library caller since that check left HiGHS
+for NNLS; it stays for the benchmark tracer's phase-1 probe and the
+tests' kernel-cone oracle.
 
 BVLS is an active-set method and can land on a vertex of the box where the
 least-squares solution set is not a single point, which would make box_ls
@@ -25,7 +29,7 @@ check's kernel witness to another minimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import fmin_l_bfgs_b, linprog, lsq_linear
@@ -132,53 +136,47 @@ def lp_feasible(p: LpProblem):
 
 # --- box-constrained least squares ---------------------------------------
 
+# BVLS's tolerance in ``solve_box_ls`` and its fixed-point test's
+TOL_BOX_LS = 1e-10
+
+
 @dataclass
 class BoxLsResult:
+    """A box solver's point x for min 0.5*||Ax-b||^2 + c.x over [0,1]^N,
+    with the problem it was solved for.  ``converged`` and ``status`` are
+    computed from that problem when read, not when the solver returns."""
+
     x: np.ndarray
     residual_norm: float
     iterations: int
-    converged: bool
-    # converged | max_iter (the iteration cap stopped the solver short of the
-    # fixed point) | stalled (the solver stopped on its own short of it)
-    status: str
+    capped: bool  # the solver stopped at its iteration cap
+    A: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
+    c: np.ndarray | float = field(repr=False)
+    tol: float = field(repr=False)
+
+    @property
+    def converged(self) -> bool:
+        """The projected-gradient step from x moves it by at most tol.  The
+        step is 1/L with L just above A^T A's largest eigenvalue, read off
+        the smaller Gram matrix; 1 on the zero matrix."""
+        A, x = self.A, self.x
+        m, N = A.shape
+        lam = np.max(np.linalg.eigvalsh(A @ A.T if m < N else A.T @ A), initial=0.0)
+        step = 1.0 / (1.01 * lam) if lam > 0 else 1.0
+        g = A.T @ (A @ x - self.b) + self.c
+        return bool(np.linalg.norm(x - np.clip(x - step * g, 0.0, 1.0)) <= self.tol)
+
+    @property
+    def status(self) -> str:
+        """converged | max_iter (the iteration cap stopped the solver short
+        of the fixed point) | stalled (the solver stopped on its own short
+        of it)."""
+        return "converged" if self.converged else "max_iter" if self.capped else "stalled"
 
 
-class _BoxQp:
-    """min 0.5*||Ax-b||^2 + c.x over the unit box [0,1]^N."""
-
-    def __init__(self, A, b, c=0.0):
-        self.A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        m, N = self.A.shape
-        self.c = np.broadcast_to(np.asarray(c, dtype=float), N)
-        # step 1/L with L just above A^T A's largest eigenvalue, read off the
-        # smaller Gram matrix; 1 on the zero matrix
-        G = self.A @ self.A.T if m < N else self.A.T @ self.A
-        lam = np.max(np.linalg.eigvalsh(G), initial=0.0)
-        self.gamma = 1.0 / (1.01 * lam) if lam > 0 else 1.0
-
-    def proj(self, z):
-        return np.clip(z, 0.0, 1.0)
-
-    def grad(self, z):
-        return self.A.T @ (self.A @ z - self.b) + self.c
-
-    def obj(self, z):
-        r = self.A @ z - self.b
-        return 0.5 * float(r @ r) + float(self.c @ z)
-
-    def fixed_point(self, x, tol) -> bool:
-        """The projected-gradient step from x moves it by at most tol."""
-        return bool(np.linalg.norm(x - self.proj(x - self.gamma * self.grad(x))) <= tol)
-
-    def result(self, x, iterations, tol, capped) -> BoxLsResult:
-        """``capped``: the solver stopped at its iteration cap."""
-        converged = self.fixed_point(x, tol)
-        return BoxLsResult(x=x,
-                           residual_norm=float(np.linalg.norm(self.A @ x - self.b)),
-                           iterations=iterations,
-                           converged=converged,
-                           status="converged" if converged else "max_iter" if capped else "stalled")
+def _box_result(A, b, c, x, iterations, tol, capped) -> BoxLsResult:
+    return BoxLsResult(x, float(np.linalg.norm(A @ x - b)), iterations, capped, A, b, c, tol)
 
 
 def solve_box_qp(A, b, c=0.0, tol=1e-10, x0=None) -> BoxLsResult:
@@ -187,16 +185,28 @@ def solve_box_qp(A, b, c=0.0, tol=1e-10, x0=None) -> BoxLsResult:
     no stop on the objective's progress, its projected-gradient stop at
     ``tol`` and a cap of 50 N iterations.  A multi-start caller sees tied
     optima as the solver leaves them."""
-    N = np.shape(A)[1]
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    N = A.shape[1]
+    c = np.broadcast_to(np.asarray(c, dtype=float), N)
+
+    # two functions, not one returning both: scipy would wrap that in its
+    # MemoizeJac, whose compare and copy of x on every evaluation cost more
+    # than the residual they save at desk scale
+    def objective(z):
+        r = A @ z - b
+        return 0.5 * float(r @ r) + float(c @ z)
+
+    def gradient(z):
+        return A.T @ (A @ z - b) + c
+
     x = np.clip(np.zeros(N) if x0 is None else np.asarray(x0, dtype=float), 0.0, 1.0)
-    qp = _BoxQp(A, b, c)
-    x, _, info = fmin_l_bfgs_b(qp.obj, x, fprime=qp.grad, bounds=[(0.0, 1.0)] * N,
+    x, _, info = fmin_l_bfgs_b(objective, x, fprime=gradient, bounds=[(0.0, 1.0)] * N,
                                factr=0.0, pgtol=tol, maxiter=50 * N)
     # L-BFGS-B's warnflag 1 is its iteration (or evaluation) limit
-    return qp.result(qp.proj(x), info["nit"], tol, capped=info["warnflag"] == 1)
+    return _box_result(A, b, c, np.clip(x, 0.0, 1.0), info["nit"], tol, info["warnflag"] == 1)
 
 
-def solve_box_ls(A, b, tol=1e-10) -> BoxLsResult:
+def solve_box_ls(A, b) -> BoxLsResult:
     """min ||Ax-b||_2 over [0,1]^N by scipy's BVLS, whatever the shape of A.
 
     When BVLS's point lies within TOL_FEAS of a vertex v, ``check_kernel_cone``
@@ -206,23 +216,23 @@ def solve_box_ls(A, b, tol=1e-10) -> BoxLsResult:
     returned.  If it fails, its witness w is such a direction (Aw = 0), and
     v + w/(2 max|w|) is returned: a minimizer too, in the box and 1/2 away
     from a bound in some coordinate, so off every vertex.  With no verdict
-    BVLS's point is returned unchanged.  ``converged`` is the
-    projected-gradient fixed-point test at ``tol``, and a point that misses
-    it is ``max_iter`` only when BVLS hit scipy's iteration cap (N)."""
+    BVLS's point is returned unchanged.  BVLS runs at TOL_BOX_LS, which is
+    also ``converged``'s tolerance, and a point that misses it is
+    ``max_iter`` only when BVLS hit scipy's iteration cap (N)."""
     # analysis imports this module
     from .analysis import ConeSpec, check_kernel_cone
 
-    qp = _BoxQp(A, b)
-    res = lsq_linear(qp.A, qp.b, bounds=(0.0, 1.0), method="bvls", tol=tol)
-    x = qp.proj(res.x)
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    res = lsq_linear(A, b, bounds=(0.0, 1.0), method="bvls", tol=TOL_BOX_LS)
+    x = np.clip(res.x, 0.0, 1.0)
     v = np.round(x)
     if np.max(np.abs(x - v)) <= TOL_FEAS:
         try:
-            cone = check_kernel_cone(qp.A, ConeSpec.sign_cone(v.size, np.flatnonzero(v)))
+            cone = check_kernel_cone(A, ConeSpec.sign_cone(v.size, np.flatnonzero(v)))
         except SolverFailure:
             pass
         else:
             w = cone.witness
             x = v if cone.holds else v + w / (2.0 * np.max(np.abs(w)))
     # lsq_linear's status 0 is its iteration limit
-    return qp.result(x, res.nit, tol, capped=res.status == 0)
+    return _box_result(A, b, 0.0, x, res.nit, TOL_BOX_LS, res.status == 0)

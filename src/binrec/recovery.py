@@ -233,8 +233,8 @@ def mibi_bp(p: RecoveryProblem) -> RecoveryReport:
 
 def box_ls(p: RecoveryProblem) -> RecoveryReport:
     """min ||Ax - b||_2  s.t.  x in [0,1]^N, by ``solve_box_ls`` at its
-    default tolerance and iteration cap, unless box-BP's point certifies the
-    answer first.
+    tolerance and iteration cap, unless box-BP's point certifies the answer
+    first.
 
     When A is wide (m < N) and b is noiseless (``p.eta`` None or 0),
     box-BP's point (the problem's cached one) is rounded to a binary x.
@@ -286,11 +286,9 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
 
     The lam = 0 solve (``solve_box_qp``) is the feasibility test.  Its
     point x is box-LS's minimizer only to the solver's precision, so
-    r(0) > eta + 1e-7 is ``infeasible`` only with box-LS's weak duality as
-    proof: with g = A^T(Ax - b) and G = g.x - sum(min(g, 0)), every z in
-    the box has ||Az - b||^2 >= r^2 - 2G, so r^2 - 2G > eta^2 leaves the
-    ball without a point of the box.  Without that proof the search starts
-    with no point known in the ball.  Then each step takes the
+    r(0) > eta + 1e-7 is ``infeasible`` only when the Lagrangian bound
+    below proves it at lam = 0.  Without that proof the search starts with
+    no point known in the ball.  Then each step takes the
     coordinates of the last solve's point more than 1e-9 inside the box as
     the free set of its piece of the path, solves the free block for x(lam)
     along the whole piece and steps to the lam where the residual meets the
@@ -303,11 +301,14 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
     there.  eta = 0 goes to box-BP's LP, and ||b|| <= eta returns x = 0.
 
     The status comes from a proof, Everett's Lagrangian sufficiency (Oper.
-    Res. 11(3), 1963).  For a point x of the box with r = ||Ax - b|| <= eta,
-    any lam > 0 and g = A^T(Ax - b) + lam*1, every z in the box and the ball
-    has 1.z >= 1.x - gap, where
-    gap = ((eta^2 - r^2)/2 + g.x - sum(min(g, 0))) / lam is the report's
-    ``optimality_gap``.  ``optimal`` means gap <= ROBUST_GAP_TOL *
+    Res. 11(3), 1963).  For a point x of the box, r = ||Ax - b||, lam >= 0
+    and g = A^T(Ax - b) + lam*1, the gradient there of
+    0.5*||Ax - b||^2 + lam*1.x, let S = (eta^2 - r^2)/2 + g.x - sum(min(g, 0))
+    (``_lagrangian_slack``).  By convexity every z in the box and the ball
+    has lam*1.z >= lam*1.x - S.  So S < 0 at lam = 0 proves that no point
+    of the box lies in the ball (``infeasible``), and for lam > 0 and
+    r <= eta, 1.x lies at most gap = S/lam above the optimum; gap is the
+    report's ``optimality_gap``.  ``optimal`` means gap <= ROBUST_GAP_TOL *
     max(1, 1.x) at the step's lam.  After _MAX_PROBES probes without a
     proof the status is ``max_iter``, with the bracket's feasible end and
     its gap (None at lam = 0), or with no point when no solve landed in
@@ -330,9 +331,7 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
     res = solve_box_qp(A, b)
     x, r = res.x, res.residual_norm
     if r > eta + 1e-7:
-        # box-LS's weak duality: every z in the box has ||Az - b||^2 >= r^2 - 2G
-        g = A.T @ (A @ x - b)
-        if r * r - 2.0 * (g @ x - np.minimum(g, 0).sum()) > eta * eta:
+        if _lagrangian_slack(A, b, eta, 0.0, x)[1] < 0:
             return RecoveryReport(None, "robust_box_bp", np.nan, "infeasible")
     elif r >= eta * (1.0 - _AIM):
         # no room to aim inside the ball: the lam = 0 point is all there is
@@ -344,10 +343,10 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
         step = _piece_root(A, b, eta, x)
         if step is not None:
             lam, xc = step
-            rc, gap = _everett(A, b, eta, lam, xc)
-            if rc <= eta and gap <= ROBUST_GAP_TOL * max(1.0, np.sum(xc)):
+            rc, slack = _lagrangian_slack(A, b, eta, lam, xc)
+            if rc <= eta and slack / lam <= ROBUST_GAP_TOL * max(1.0, np.sum(xc)):
                 return RecoveryReport(xc, "robust_box_bp", float(np.sum(xc)), "optimal",
-                                      optimality_gap=gap)
+                                      optimality_gap=slack / lam)
         if step is None or not lo < lam < hi:
             lam = (lo + hi) / 2
         res = solve_box_qp(A, b, c=lam, x0=x)
@@ -358,19 +357,20 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
             hi = lam
     if x_lo is None:
         return RecoveryReport(None, "robust_box_bp", np.nan, "max_iter")
-    gap = _everett(A, b, eta, lo, x_lo)[1] if lo else None
+    gap = _lagrangian_slack(A, b, eta, lo, x_lo)[1] / lo if lo else None
     return RecoveryReport(x_lo, "robust_box_bp", float(np.sum(x_lo)), "max_iter",
                           optimality_gap=gap)
 
 
-def _everett(A, b, eta, lam, x):
-    """(r, gap) at a point x of the box and lam > 0: its residual
-    r = ||Ax - b|| and Everett's bound on how far 1.x lies above the
-    optimum, valid when r <= eta (see ``robust_box_bp``)."""
+def _lagrangian_slack(A, b, eta, lam, x):
+    """(r, S) at a point x of the box and lam >= 0: its residual
+    r = ||Ax - b|| and the slack S of ``robust_box_bp``'s Lagrangian bound,
+    whose sign at lam = 0 is the infeasibility proof and whose S/lam is
+    Everett's optimality gap."""
     res = A @ x - b
     r = float(np.linalg.norm(res))
     g = A.T @ res + lam
-    return r, float((eta * eta - r * r) / 2 + g @ x - np.minimum(g, 0).sum()) / lam
+    return r, float((eta * eta - r * r) / 2 + g @ x - np.minimum(g, 0).sum())
 
 
 def _piece_root(A, b, eta, x):

@@ -96,7 +96,15 @@ def face_survival_prob(i: int, j: int) -> float:
     Binomial(j-1, 1/2) at i-1.  The sum is exact in Python integers, over
     the shorter tail (the upper one by symmetry, subtracted from 2^(j-1)),
     and the one division rounds correctly, subnormal far tails included:
-    O(j min(i, j-i)) bit operations.  By convention P_0j = 0 (empty sum)."""
+    O(j min(i, j-i)) bit operations.  By convention P_0j = 0 (empty sum).
+
+    P_mN is also a deterministic share.  Let A be any m x N matrix whose
+    columns are in general position, whatever its ensemble.  A binary x is
+    the only point z of the box with Az = Ax (box-LS then recovers it
+    uniquely) exactly when Ax is a vertex of the zonotope A[0,1]^N, and
+    that zonotope has 2 sum over l < m of binom(N-1, l) vertices.  So
+    box-LS recovers exactly the share P_mN of the 2^N binary points (Cover
+    1965; Donoho and Tanner, Discrete Comput. Geom. 43, 2010)."""
     i, j = operator.index(i), operator.index(j)
     if i == 0:
         return 0.0
@@ -241,7 +249,10 @@ def noise_error_bound(p: TheoryParams) -> float:
 
 def largerN2_success_prob(N: int, m: int, variant: str = "density") -> float:
     """Success probability lower bound for m > N/2: 1 - P_{N-m,N}, times
-    (1 - 2^{-m/2}) for the Rademacher variant."""
+    (1 - 2^{-m/2}) for the Rademacher variant.  1 - P_{N-m,N} = P_{m,N}
+    is also, deterministically, the share of the 2^N binary points that
+    box-LS recovers uniquely for any A in general position
+    (``face_survival_prob``; Cover 1965, Donoho and Tanner 2010)."""
     if not N / 2 < m <= N:
         raise ValueError(f"the bound requires N/2 < m <= N, got m={m}, N={N}")
     base = 1.0 - face_survival_prob(N - m, N)

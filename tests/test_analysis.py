@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
@@ -9,6 +12,7 @@ from binrec.analysis import (ConeSpec, build_dual_certificate,
 from binrec.ensembles import EnsembleConfig, gen_matrix
 from binrec.optim import TOL_FEAS, SolverFailure
 from binrec.recovery import RecoveryProblem, box_bp, recovery_success
+from binrec.theory import face_survival_prob
 from oracles import lp_kernel_cone_fails
 
 
@@ -202,6 +206,29 @@ def test_kernel_cone_on_a_degenerate_system_has_a_verdict():
     cone = ConeSpec.sign_cone(10, [0, 2, 6, 8, 9], sum_nonpos=True)
     assert not lp_kernel_cone_fails(A.entries, cone.signs, cone.sum_nonpos)
     assert check_kernel_cone(A, cone).holds
+
+
+@pytest.mark.parametrize("N, m", [(10, 3), (10, 5), (10, 7), (12, 6)])
+@pytest.mark.parametrize("kind", ["gaussian", "biased"])
+def test_kernel_cone_counts_match_the_arrangement_laws(kind, N, m):
+    # For A in general position, whatever its ensemble, the binary points x
+    # whose sign cone meets ker(A) trivially (box-LS recovers x uniquely)
+    # are exactly the 2 sum_{l<m} C(N-1, l) vertices of the zonotope
+    # A[0,1]^N (Cover 1965), and those whose cone with the sum row does
+    # (x is box-BP's unique optimum) are sum_{l<=m} C(N, l), the regions of
+    # an affine arrangement (Zaslavsky 1975; Donoho and Tanner 2010).
+    # Every support is checked against counts that no solver computed.
+    biased = dict(mu=1.0, sigma=1.0 / math.sqrt(3.0), lambda_bound=1.0,
+                  base_dist="uniform_bounded")
+    A = gen_matrix(EnsembleConfig(kind=kind, m=m, N=N, seed=100 * N + m,
+                                  **(biased if kind == "biased" else {}))).entries
+    counts = [sum(check_kernel_cone(A, ConeSpec.sign_cone(N, np.flatnonzero(x),
+                                                          sum_nonpos=sum_row)).holds
+                  for x in itertools.product((0, 1), repeat=N))
+              for sum_row in (False, True)]
+    box_ls_count = 2 * sum(math.comb(N - 1, l) for l in range(m))
+    assert counts == [box_ls_count, sum(math.comb(N, l) for l in range(m + 1))]
+    assert 2 ** N * face_survival_prob(m, N) == box_ls_count
 
 
 def test_kernel_cone_K_complement_symmetry():

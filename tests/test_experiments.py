@@ -43,6 +43,10 @@ def test_config_validation():
         _small_config(k_fractions=[])
     with pytest.raises(ValueError):
         _small_config(m_fractions=[])
+    # sweeps that cannot draw a matrix: m = round(0.01 * 10) = 0, or N < 1
+    for bad in (dict(N=10, k_fractions=[0.5], m_fractions=[0.01, 0.5]), dict(N=0), dict(N=-20)):
+        with pytest.raises(ValueError, match="no measurement"):
+            _small_config(**bad)
 
     # caught when the config is built, not inside a pool worker
     for bad in (dict(noise_eps=-0.1), dict(noise_eps=np.nan), dict(noise_eps=np.inf),

@@ -8,7 +8,7 @@ from scipy.optimize import lsq_linear
 from binrec import optim
 from binrec.analysis import ConeSpec, check_kernel_cone
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_sparse_binary
-from binrec.optim import (LpProblem, SolverFailure, TOL_FEAS, _BoxQp, lp_feasible,
+from binrec.optim import (LpProblem, SolverFailure, TOL_BOX_LS, TOL_FEAS, lp_feasible,
                           solve_box_ls, solve_box_qp, solve_lp)
 
 from oracles import (box_qp_kkt_violations, enumerate_lp_optimum, lp_kkt_violations,
@@ -195,11 +195,14 @@ def test_box_ls_identity_projects_onto_box():
     assert np.allclose(res.x, np.ones(4), atol=1e-9)
 
 
-def test_box_ls_point_meets_kkt():
+def _kkt_instance():
     rng = np.random.default_rng(3)
-    A = rng.standard_normal((15, 25))
-    b = rng.standard_normal(15)
-    res = solve_box_ls(A, b, tol=1e-10)
+    return rng.standard_normal((15, 25)), rng.standard_normal(15)
+
+
+def test_box_ls_point_meets_kkt():
+    A, b = _kkt_instance()
+    res = solve_box_ls(A, b)
     assert res.converged
     violations = box_qp_kkt_violations(A, b, 0.0, 1.0, res.x)
     assert max(violations.values()) <= 1e-8, violations
@@ -219,7 +222,7 @@ def test_box_ls_unique_feasible_point_recovered():
             continue
         x0 = np.zeros(40)
         x0[K] = 1.0
-        res = solve_box_ls(A, A @ x0, tol=1e-12)
+        res = solve_box_ls(A, A @ x0)
         assert np.linalg.norm(res.x - x0) <= 1e-9
         return
     pytest.fail("no instance with trivial kernel-cone intersection found")
@@ -232,9 +235,11 @@ def _box_ls_instance():
     return A, 3.0 * rng.standard_normal(30)
 
 
-def _fixed_point_residual(A, b, x):
-    gamma = _BoxQp(A, b).gamma
-    return np.linalg.norm(x - np.clip(x - gamma * A.T @ (A @ x - b), 0.0, 1.0))
+def _fixed_point_residual(A, b, x, c=0.0):
+    """How far the projected-gradient step 1/(1.01 ||A||_2^2) moves x, the
+    spectral norm taken by SVD apart from the library's eigendecomposition."""
+    gamma = 1.0 / (1.01 * np.linalg.norm(A, 2) ** 2)
+    return np.linalg.norm(x - np.clip(x - gamma * (A.T @ (A @ x - b) + c), 0.0, 1.0))
 
 
 def test_box_ls_max_iter_flagged_not_raised(monkeypatch):
@@ -288,3 +293,20 @@ def test_box_qp_linear_term(c):
     # the warm start changes the path, not the answer
     again = solve_box_qp(np.eye(5), b, c=c, x0=np.full(5, 0.5))
     assert np.allclose(again.x, res.x, atol=1e-12)
+
+
+@pytest.mark.parametrize("instance", [_kkt_instance, _box_ls_instance])
+def test_converged_is_the_fixed_point_test(monkeypatch, instance):
+    # both solvers' converged, read after they return, agrees with the
+    # oracle, on their own answers and on BVLS's under a cap of 2 iterations;
+    # each instance has verdicts both ways
+    A, b = instance()
+    results = [(solve_box_ls(A, b), 0.0, TOL_BOX_LS)]
+    for c in (0.0, 0.3):
+        results.append((solve_box_qp(A, b, c=c), c, 1e-10))
+        results.append((solve_box_qp(A, b, c=c, x0=np.ones(A.shape[1]), tol=1e-11), c, 1e-11))
+    monkeypatch.setattr(optim, "lsq_linear", functools.partial(lsq_linear, max_iter=2))
+    results.append((solve_box_ls(A, b), 0.0, TOL_BOX_LS))
+    verdicts = [res.converged for res, _, _ in results]
+    assert verdicts == [_fixed_point_residual(A, b, res.x, c) <= tol for res, c, tol in results]
+    assert True in verdicts and False in verdicts

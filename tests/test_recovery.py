@@ -403,6 +403,28 @@ def test_robust_box_bp_takes_a_few_box_qp_solves(monkeypatch):
             assert len(calls) <= 6, (cell, trial, len(calls))
 
 
+def test_robust_box_bp_runs_no_gram_eigendecomposition(monkeypatch):
+    # robust_box_bp reads its box-QP solves' points and residuals only, so
+    # the fixed-point verdict and its eigvalsh never run; reading it does
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for cell in range(4):
+        for trial in range(3):
+            A, b = _noisy_robust_instance(cell, trial)
+            assert robust_box_bp(RecoveryProblem(A, b, eta=0.1)).solver_status == "optimal"
+    assert not calls
+    res = solve_box_qp(A, b)
+    assert not calls
+    assert res.status in ("converged", "max_iter", "stalled")
+    assert len(calls) == 1
+
+
 def test_box_ls_wrapper():
     rng = np.random.default_rng(9)
     A, x0 = _random_instance(rng, 20, 15, 5)
