@@ -166,6 +166,9 @@ def cmd_certificate(args) -> int:
 
 def cmd_theory(args) -> int:
     f = args.formula
+    if args.variant is not None and f not in ("cert-fail", "largern2"):
+        raise ValueError(f"--variant applies only to the cert-fail and largern2 formulas, "
+                         f"not {f}")
     if f == "delta-bin":
         val = theory.delta_bin(args.k, args.N)
     elif f == "pij":

@@ -18,12 +18,9 @@ none.  ``lp_feasible`` has no library caller since that check left HiGHS
 for NNLS; it stays for the benchmark tracer's phase-1 probe and the
 tests' kernel-cone oracle.
 
-BVLS is an active-set method and can land on a vertex of the box where the
-least-squares solution set is not a single point, which would make box_ls
-look like it recovers binary signals that its program does not determine.
-So ``solve_box_ls`` returns a vertex only when ``analysis.check_kernel_cone``
-proves it the unique minimizer, and otherwise steps off it along the
-check's kernel witness to another minimizer.
+This module imports no other binrec module.  What the solvers' points
+mean for the recovery programs, such as whether a vertex BVLS lands on is
+the unique minimizer, is decided in ``recovery``.
 """
 
 from __future__ import annotations
@@ -207,32 +204,12 @@ def solve_box_qp(A, b, c=0.0, tol=1e-10, x0=None) -> BoxLsResult:
 
 
 def solve_box_ls(A, b) -> BoxLsResult:
-    """min ||Ax-b||_2 over [0,1]^N by scipy's BVLS, whatever the shape of A.
-
-    When BVLS's point lies within TOL_FEAS of a vertex v, ``check_kernel_cone``
-    on the sign cone of v's support decides what comes back.  If it holds,
-    no feasible direction of the box at v lies in ker(A), so v is the only
-    point z of the box with Az = Av, hence the unique minimizer, and v is
-    returned.  If it fails, its witness w is such a direction (Aw = 0), and
-    v + w/(2 max|w|) is returned: a minimizer too, in the box and 1/2 away
-    from a bound in some coordinate, so off every vertex.  With no verdict
-    BVLS's point is returned unchanged.  BVLS runs at TOL_BOX_LS, which is
-    also ``converged``'s tolerance, and a point that misses it is
-    ``max_iter`` only when BVLS hit scipy's iteration cap (N)."""
-    # analysis imports this module
-    from .analysis import ConeSpec, check_kernel_cone
-
+    """min ||Ax-b||_2 over [0,1]^N by scipy's BVLS, whatever the shape of A,
+    at TOL_BOX_LS, which is also ``converged``'s tolerance.  A point that
+    misses it is ``max_iter`` only when BVLS hit scipy's iteration cap (N).
+    The point comes back as BVLS leaves it, clipped to the box, also on a
+    vertex; ``recovery.box_ls`` decides whether such a vertex may stand."""
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     res = lsq_linear(A, b, bounds=(0.0, 1.0), method="bvls", tol=TOL_BOX_LS)
-    x = np.clip(res.x, 0.0, 1.0)
-    v = np.round(x)
-    if np.max(np.abs(x - v)) <= TOL_FEAS:
-        try:
-            cone = check_kernel_cone(A, ConeSpec.sign_cone(v.size, np.flatnonzero(v)))
-        except SolverFailure:
-            pass
-        else:
-            w = cone.witness
-            x = v if cone.holds else v + w / (2.0 * np.max(np.abs(w)))
     # lsq_linear's status 0 is its iteration limit
-    return _box_result(A, b, 0.0, x, res.nit, TOL_BOX_LS, res.status == 0)
+    return _box_result(A, b, 0.0, np.clip(res.x, 0.0, 1.0), res.nit, TOL_BOX_LS, res.status == 0)

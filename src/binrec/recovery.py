@@ -17,8 +17,13 @@ plays that part for the mirror LP).  Otherwise HiGHS solves the LP.
 
 So on a wide A (m < N) ``box_ls`` returns box-BP's rounded point when it
 fits b and the same kernel-cone check proves it the only point of the box
-that does, hence box-LS's unique minimizer, and runs the least-squares
-solver only otherwise; with m >= N or a noisy b the solver is direct.
+that does, hence box-LS's unique minimizer, and runs BVLS only otherwise;
+with m >= N or a noisy b BVLS runs directly.  When BVLS's point is a
+vertex of the box, the kernel-cone check on that vertex's sign cone decides
+whether box_ls returns it.  Every kernel-cone verdict, box-BP report and
+binary candidate is computed once per ``RecoveryProblem`` and kept in its
+memo, so box-BP's certification, box_ls's shortcut and its vertex rule
+share each verdict.
 
 The noisy program, ``robust_box_bp``, is box-constrained least squares
 again: its Lagrangian adds lam*1.x to box-LS's objective.  The minimizer
@@ -31,12 +36,12 @@ its point can lie from the optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .analysis import ConeSpec, check_kernel_cone
+from .analysis import CertificateResult, ConeSpec, check_kernel_cone
 from .ensembles import BinarySignal, DenseMatrix
 from .optim import TOL_FEAS, LpProblem, SolverFailure, solve_box_ls, solve_box_qp, solve_lp
 
@@ -69,15 +74,13 @@ class RecoveryProblem:
     their certified shortcuts when eta > 0; the basis-pursuit programs'
     answers do not depend on it.  Treat it as immutable: the box-BP
     reports, binary candidates and kernel-cone verdicts computed on it are
-    kept, so that every program run on the same problem computes each
-    once.  b is stored as a vector of m finite entries."""
+    kept in one memo, so that every program run on the same problem
+    computes each once.  b is stored as a vector of m finite entries."""
 
     A: DenseMatrix
     b: np.ndarray
     eta: float | None = None
-    _bp_reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _candidates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _cones: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.A, np.ndarray):
@@ -90,6 +93,13 @@ class RecoveryProblem:
             raise ValueError("measurements must be finite")
         if self.eta is not None and not 0 <= self.eta < np.inf:
             raise ValueError("noise level eta must be finite and nonnegative")
+
+    def _once(self, key, compute):
+        """compute()'s value, computed the first time ``key`` is asked for
+        on this problem and kept in its memo."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
 
 @dataclass
@@ -110,9 +120,7 @@ class RecoveryReport:
 
 
 def _bp_lp(p: RecoveryProblem, mirror: bool) -> RecoveryReport:
-    if mirror not in p._bp_reports:
-        p._bp_reports[mirror] = _solve_bp_lp(p, mirror)
-    return p._bp_reports[mirror]
+    return p._once(("bp", mirror), lambda: _solve_bp_lp(p, mirror))
 
 
 def _fits(p: RecoveryProblem, x: np.ndarray) -> bool:
@@ -126,35 +134,36 @@ def _candidate(p: RecoveryProblem, saturated: bool) -> np.ndarray | None:
     rounding of nnls(A, b) clipped to the box, or with ``saturated``
     1 - that rounding for nnls(A, A1 - b).  None when it does not fit b
     (``_fits``), or when NNLS hits its iteration cap."""
-    if saturated not in p._candidates:
+    def solve():
         A, b = p.A.entries, p.b
-        x = None
         try:
             z = nnls(A, A.sum(axis=1) - b if saturated else b)[0]
         except RuntimeError:
-            pass
-        else:
-            # clip first: NNLS may overshoot 1, and a rounded 2 can fit b
-            x = round_to_binary(np.clip(z, 0.0, 1.0)).astype(float)
-            if saturated:
-                x = 1.0 - x
-            if not _fits(p, x):
-                x = None
-        p._candidates[saturated] = x
-    return p._candidates[saturated]
+            return None
+        # clip first: NNLS may overshoot 1, and a rounded 2 can fit b
+        x = round_to_binary(np.clip(z, 0.0, 1.0)).astype(float)
+        if saturated:
+            x = 1.0 - x
+        return x if _fits(p, x) else None
+
+    return p._once(("candidate", saturated), solve)
+
+
+def _cone(p: RecoveryProblem, K: np.ndarray, sum_nonpos: bool = False) -> CertificateResult | None:
+    """``check_kernel_cone`` on the sign cone of K, computed once per
+    problem; None when the check stops without a verdict."""
+    def check():
+        try:
+            return check_kernel_cone(p.A, ConeSpec.sign_cone(p.A.N, K, sum_nonpos=sum_nonpos))
+        except SolverFailure:
+            return None
+
+    return p._once(("cone", K.tobytes(), sum_nonpos), check)
 
 
 def _cone_holds(p: RecoveryProblem, K: np.ndarray, sum_nonpos: bool = False) -> bool:
-    """``check_kernel_cone`` on the sign cone of K, computed once per
-    problem; False when the check stops without a verdict."""
-    key = (K.tobytes(), sum_nonpos)
-    if key not in p._cones:
-        cone = ConeSpec.sign_cone(p.A.N, K, sum_nonpos=sum_nonpos)
-        try:
-            p._cones[key] = check_kernel_cone(p.A, cone).holds
-        except SolverFailure:
-            p._cones[key] = False
-    return p._cones[key]
+    cone = _cone(p, K, sum_nonpos)
+    return cone is not None and cone.holds
 
 
 def _certified(p: RecoveryProblem, mirror: bool) -> np.ndarray | None:
@@ -232,9 +241,9 @@ def mibi_bp(p: RecoveryProblem) -> RecoveryReport:
 
 
 def box_ls(p: RecoveryProblem) -> RecoveryReport:
-    """min ||Ax - b||_2  s.t.  x in [0,1]^N, by ``solve_box_ls`` at its
-    tolerance and iteration cap, unless box-BP's point certifies the answer
-    first.
+    """min ||Ax - b||_2  s.t.  x in [0,1]^N, by ``solve_box_ls`` (BVLS) at
+    its tolerance and iteration cap, unless box-BP's point certifies the
+    answer first.
 
     When A is wide (m < N) and b is noiseless (``p.eta`` None or 0),
     box-BP's point (the problem's cached one) is rounded to a binary x.
@@ -246,16 +255,27 @@ def box_ls(p: RecoveryProblem) -> RecoveryReport:
     have cached), then x is the only point z of the box with Az = Ax.
     Every minimizer has the same Az, since the objective is strictly convex
     in Az, so x is the unique minimizer and is returned as ``converged``,
-    with no solver run.  Otherwise, or when a solver stops without a
-    verdict, ``solve_box_ls`` runs and its answer is returned as it is:
-    BVLS's point, or the vertex it lies on only when the same kernel-cone
-    check proves that vertex the unique minimizer.  The shortcut is not
-    tried with m >= N, where A generically has full column rank and BVLS
-    finds the unique minimizer without an LP, nor on noisy b
-    (``p.eta`` > 0), where Ax = b almost never has a point in the box and
-    box-BP's LP would be infeasible or, rounded, no minimizer.
-    On a noiseless problem where box-BP has not run, the shortcut runs it:
-    its NNLS candidates and, when neither is certified, its LP.
+    with no solver run.  The shortcut is not tried with m >= N, where A
+    generically has full column rank and BVLS finds the unique minimizer
+    without an LP, nor on noisy b (``p.eta`` > 0), where Ax = b almost
+    never has a point in the box and box-BP's LP would be infeasible or,
+    rounded, no minimizer.  On a noiseless problem where box-BP has not
+    run, the shortcut runs it: its NNLS candidates and, when neither is
+    certified, its LP.
+
+    Otherwise, or when a solver stops without a verdict, BVLS runs.  It is
+    an active-set method and can land on a vertex of the box where the
+    minimizers are not a single point, which would make box_ls look like
+    it recovers binary signals that its program does not determine.  So
+    when BVLS's point lies within TOL_FEAS of a vertex v, the problem's
+    kernel-cone verdict on the sign cone of v's support decides what comes
+    back.  If it holds, no feasible direction of the box at v lies in
+    ker(A), so v is the only point z of the box with Az = Av, hence the
+    unique minimizer, and v is returned.  If it fails, its witness w is
+    such a direction (Aw = 0), and v + w/(2 max|w|) is returned: a
+    minimizer too, in the box and 1/2 away from a bound in some coordinate,
+    so off every vertex.  With no verdict BVLS's point is returned
+    unchanged.  The objective and status are those of the returned point.
     """
     A = p.A.entries
     m, N = A.shape
@@ -270,6 +290,10 @@ def box_ls(p: RecoveryProblem) -> RecoveryReport:
         except SolverFailure:
             pass
     res = solve_box_ls(A, p.b)
+    v = np.round(res.x)
+    if np.max(np.abs(res.x - v)) <= TOL_FEAS and (cone := _cone(p, np.flatnonzero(v))) is not None:
+        x = v if cone.holds else v + cone.witness / (2.0 * np.max(np.abs(cone.witness)))
+        res = replace(res, x=x, residual_norm=float(np.linalg.norm(A @ x - p.b)))
     return RecoveryReport(res.x, "box_ls", res.residual_norm, res.status)
 
 
@@ -402,7 +426,10 @@ def _piece_root(A, b, eta, x):
 
 def recovery_success(x_hat: np.ndarray | None, x0: BinarySignal | np.ndarray,
                      tol: float = DEFAULT_SUCCESS_TOL) -> bool:
-    """Relative l2 criterion: ||x_hat - x0|| <= tol * max(1, ||x0||)."""
+    """Relative l2 criterion: ||x_hat - x0|| <= tol * max(1, ||x0||), for
+    a tol in (0, inf)."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"success tolerance must be positive and finite, not {tol}")
     if x_hat is None:
         return False
     x0d = x0.dense() if isinstance(x0, BinarySignal) else np.asarray(x0, dtype=float)

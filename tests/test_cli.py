@@ -62,6 +62,15 @@ def test_theory_formula_prints_the_library_value(capsys, formula, flags, value):
     assert out.strip() == f"{value():.12g}"
 
 
+@pytest.mark.parametrize("formula", ["delta-bin", "pij", "mibi-bound", "biased-bound",
+                                     "noise-bound"])
+def test_theory_rejects_a_variant_for_a_formula_without_one(capsys, formula):
+    code = main(["theory", "--formula", formula, "--variant", "rademacher"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "--variant" in captured.err
+
+
 def test_check_condition_on_stored_matrix(capsys, tmp_path):
     path = tmp_path / "A.txt"
     path.write_text("1 2\n1 -1\n")
@@ -184,6 +193,20 @@ def test_solve_rejects_noise_eps_with_measurements(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error:") and "--noise-eps" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+def test_solve_rejects_a_success_tol_outside_zero_to_inf(capsys, tmp_path, tol):
+    mat = str(tmp_path / "A.txt")
+    sig = str(tmp_path / "x.txt")
+    run_cli(capsys, "gen-matrix", "--kind", "gaussian", "--m", "12", "--N", "16",
+            "--seed", "5", "--out", mat)
+    run_cli(capsys, "gen-signal", "--N", "16", "--k", "3", "--seed", "6", "--out", sig)
+    code = main(["solve", "--program", "box-bp", "--matrix", mat, "--signal", sig,
+                 f"--success-tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "tolerance" in captured.err
 
 
 def test_solver_failure_exit_code(capsys, monkeypatch, tmp_path):

@@ -10,7 +10,8 @@ from binrec import recovery
 from binrec.analysis import ConeSpec, check_kernel_cone
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
 from binrec.experiments import desk_scale_config, sweep_trial
-from binrec.optim import LpProblem, SolverFailure, solve_box_ls, solve_box_qp, solve_lp
+from binrec.optim import (LpProblem, SolverFailure, TOL_FEAS, solve_box_ls, solve_box_qp,
+                          solve_lp)
 from binrec.recovery import (DEFAULT_SUCCESS_TOL, MIBI_TIE_TOL, ROBUST_GAP_TOL,
                              RecoveryProblem, RecoveryReport, box_bp, box_bp_mirror, box_ls,
                              mibi_bp, _candidate, recovery_success, robust_box_bp,
@@ -178,8 +179,8 @@ def test_mibi_lazy_mirror_matches_both_branches():
         assert np.array_equal(rep.x_hat, eager.x_hat)
         assert rep.objective == eager.objective
         assert (rep.solver_status, rep.branch_chosen) == (eager.solver_status, eager.branch_chosen)
-        mirror_solved = True in p._bp_reports
-        assert mirror_solved == (_gap(p._bp_reports[False]) > MIBI_TIE_TOL)
+        mirror_solved = ("bp", True) in p._memo
+        assert mirror_solved == (_gap(p._memo["bp", False]) > MIBI_TIE_TOL)
         outcomes.add((rep.branch_chosen, mirror_solved))
     # every way through mibi_bp is taken: a binary plain point, a fractional
     # one that the mirror beats, and a fractional one that it does not
@@ -439,6 +440,60 @@ def _desk_sweep_config(master_seed, kind="biased"):
                                k_fractions=[0.1, 0.2, 0.8, 0.9], m_fractions=[0.3, 0.4, 0.5])
 
 
+def _bvls_with_vertex_rule(A, b):
+    """``solve_box_ls``'s answer after box_ls's vertex rule, decided by a
+    kernel-cone check of its own: a vertex within TOL_FEAS of BVLS's point
+    comes back when the check holds, half a unit along its witness when it
+    fails, and BVLS's point when it gives no verdict."""
+    res = solve_box_ls(A, b)
+    v = np.round(res.x)
+    if np.max(np.abs(res.x - v)) > TOL_FEAS:
+        return res
+    try:
+        cone = check_kernel_cone(A, ConeSpec.sign_cone(v.size, np.flatnonzero(v)))
+    except SolverFailure:
+        return res
+    x = v if cone.holds else v + cone.witness / (2.0 * np.max(np.abs(cone.witness)))
+    return dataclasses.replace(res, x=x, residual_norm=float(np.linalg.norm(A @ x - b)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_box_ls_returns_a_vertex_only_when_it_is_the_unique_minimizer(seed):
+    # on wide, square and tall Gaussian or degenerate {0, 2} matrices, with
+    # b = A x0 for binary x0, noisy or not
+    rng = np.random.default_rng(seed)
+    m, N = int(rng.integers(1, 10)), int(rng.integers(1, 13))
+    A = rng.standard_normal((m, N)) if rng.random() < 0.5 else 2.0 * rng.integers(0, 2, (m, N))
+    x0 = rng.integers(0, 2, N).astype(float)
+    b = A @ x0 + (0.1 * rng.standard_normal(m) if rng.random() < 0.3 else 0.0)
+    x = box_ls(RecoveryProblem(A, b)).x_hat
+    assert np.all((x >= 0) & (x <= 1))
+    v = np.round(x)
+    if np.max(np.abs(x - v)) <= TOL_FEAS:
+        assert check_kernel_cone(A, ConeSpec.sign_cone(N, np.flatnonzero(v))).holds
+
+
+def test_each_kernel_cone_is_decided_once_per_problem(monkeypatch):
+    # desk-sweep trial k=10, m=30 (Gaussian, master seed 1): box-BP's
+    # certification, box_ls's shortcut and its vertex rule all ask about
+    # the cone of one vertex, and one Gordan solve answers them all
+    import binrec.analysis
+    gordan = binrec.analysis._gordan
+    cones = []
+
+    def counted(A, cone):
+        cones.append((cone.signs.tobytes(), cone.sum_nonpos))
+        return gordan(A, cone)
+
+    monkeypatch.setattr(binrec.analysis, "_gordan", counted)
+    _, A, _, b = sweep_trial(_desk_sweep_config(1, "gaussian"), 0, 0, 4)
+    p = RecoveryProblem(A, b)
+    for program in (box_bp, mibi_bp, box_ls):
+        program(p)
+    assert cones and len(cones) == len(set(cones)), cones
+
+
 def test_box_ls_keeps_its_own_minimizer_when_the_feasible_set_is_wide():
     # desk-sweep trials k=10, m=30 (master seeds 1 and 12) and k=80, m=40
     # (master seed 21), where {x in box: Ax = Ax0} reaches about 10 from x0
@@ -490,7 +545,8 @@ def _counting_solve_box_ls(monkeypatch):
 
 def test_box_ls_shortcut_matches_the_solver(monkeypatch):
     # every trial of the desk-sweep sub-grid at master seed 1: box_ls, with
-    # or without the certified shortcut, agrees with the solver's own answer
+    # or without the certified shortcut, agrees with BVLS and its vertex
+    # rule; BVLS lands on a vertex at k=10, m=30, trial 2
     calls = _counting_solve_box_ls(monkeypatch)
     cfg = _desk_sweep_config(1)
     trials = 0
@@ -499,7 +555,7 @@ def test_box_ls_shortcut_matches_the_solver(monkeypatch):
             for t in range(cfg.trials):
                 _, A, _, b = sweep_trial(cfg, i, j, t)
                 rep = box_ls(RecoveryProblem(A, b))
-                ref = solve_box_ls(A.entries, b)
+                ref = _bvls_with_vertex_rule(A.entries, b)
                 assert rep.solver_status == ref.status
                 assert np.linalg.norm(rep.x_hat - ref.x) <= 1e-9
                 trials += 1
@@ -511,19 +567,19 @@ def test_box_ls_shortcut_matches_the_solver(monkeypatch):
 def test_box_ls_noisy_wide_trial_runs_the_solver(monkeypatch, cell):
     # noise of norm 0.1 on a wide trial: box-BP's LP is infeasible at
     # k=10, m=50 and feasible at k=80, m=40, and neither certifies its
-    # rounding, so box_ls returns the solver's point unchanged
+    # rounding, so box_ls returns the solver's point
     calls = _counting_solve_box_ls(monkeypatch)
     cfg = dataclasses.replace(_desk_sweep_config(1), noise_eps=0.1)
     _, A, _, b = sweep_trial(cfg, *cell, 0)
     rep = box_ls(RecoveryProblem(A, b))
-    ref = solve_box_ls(A.entries, b)
+    ref = _bvls_with_vertex_rule(A.entries, b)
     assert len(calls) == 1
     assert rep.solver_status == ref.status
     assert np.array_equal(rep.x_hat, ref.x)
     # told the noise level, box_ls skips the shortcut and box-BP's LP
     p = RecoveryProblem(A, b, eta=cfg.noise_eps)
     rep = box_ls(p)
-    assert len(calls) == 2 and not p._bp_reports
+    assert len(calls) == 2 and not any(key[0] == "bp" for key in p._memo)
     assert rep.solver_status == ref.status
     assert np.array_equal(rep.x_hat, ref.x)
 
@@ -545,7 +601,7 @@ def test_box_ls_runs_the_solver_when_the_lp_fails(monkeypatch):
     rep = box_ls(RecoveryProblem(A, b))
     assert len(lp_calls) == 1
     assert len(calls) == 1
-    assert np.array_equal(rep.x_hat, solve_box_ls(A.entries, b).x)
+    assert np.array_equal(rep.x_hat, _bvls_with_vertex_rule(A.entries, b).x)
 
 
 def _no_cone_verdict(monkeypatch):
@@ -565,7 +621,7 @@ def _no_cone_verdict(monkeypatch):
 
 def test_box_ls_runs_the_solver_when_the_cone_check_fails(monkeypatch):
     # a kernel-cone check without a verdict certifies nothing either, and
-    # the solver's own vertex rule then returns BVLS's point as it is
+    # box_ls's vertex rule then returns BVLS's point as it is
     calls = _counting_solve_box_ls(monkeypatch)
     _, A, x0, b = sweep_trial(_desk_sweep_config(1), 0, 2, 0)
     assert box_ls(RecoveryProblem(A, b)).solver_status == "converged" and not calls
@@ -574,7 +630,7 @@ def test_box_ls_runs_the_solver_when_the_cone_check_fails(monkeypatch):
         check_kernel_cone(A, ConeSpec.sign_cone(A.N, x0.support))
     rep = box_ls(RecoveryProblem(A, b))
     assert len(calls) == 1
-    assert np.array_equal(rep.x_hat, solve_box_ls(A.entries, b).x)
+    assert np.array_equal(rep.x_hat, _bvls_with_vertex_rule(A.entries, b).x)
 
 
 def test_box_ls_shortcut_declines_a_binary_point_without_the_cone():
@@ -599,7 +655,7 @@ def test_box_ls_shortcut_declines_a_point_that_does_not_fit(monkeypatch):
     assert check_kernel_cone(A, ConeSpec.sign_cone(2, [])).holds
     rep = box_ls(p)
     assert len(calls) == 1
-    assert np.array_equal(rep.x_hat, solve_box_ls(A, b).x)
+    assert np.array_equal(rep.x_hat, _bvls_with_vertex_rule(A, b).x)
     assert rep.objective <= 1e-9
 
 
@@ -750,7 +806,7 @@ def test_certification_without_a_verdict_runs_the_lp(monkeypatch, module):
 
 def test_noisy_problems_take_no_certification(monkeypatch):
     # no NNLS candidate and no LP beyond the two programs' own; box_ls's
-    # solver may run one kernel-cone check of its own, since BVLS ends on a
+    # vertex rule may run one kernel-cone check, since BVLS ends on a
     # vertex of this 6 x 6 instance
     import binrec.recovery
 
@@ -797,6 +853,9 @@ def test_recovery_success_criterion():
     assert not recovery_success(None, x0)
     with pytest.raises(ValueError):
         recovery_success(np.zeros(9), x0)
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            recovery_success(None, x0, tol=tol)
 
 
 def test_feasible_only_for_finished_solves():
