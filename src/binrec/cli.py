@@ -72,6 +72,7 @@ def cmd_gen_signal(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    recovery.check_success_tol(args.success_tol)
     if args.noise_eps and not args.signal:
         raise ValueError("--noise-eps adds noise to A x0 and needs --signal; "
                          "--measurements gives b as it is")

@@ -26,16 +26,17 @@ scaled kinds).
 Philox is counter-based, so ``Philox.advance`` reaches any block of the
 sign stream without drawing the blocks before it.  A large sign matrix is
 therefore split into contiguous runs of whole blocks, one per thread (up to
-``BINREC_THREADS``, else the CPUs this process may run on), each run reading
-the stream from its own first block; the matrix is the same bit for bit at
-every thread count.  Only the sign fill gains from the split: a single
-Generator call draws a Gaussian or uniform matrix about as fast as a
-blocked, threaded fill.
+``BINREC_THREADS``, else the CPUs this process may run on; one in a process
+that ``multiprocessing`` started), each run reading the stream from its own
+first block; the matrix is the same bit for bit at every thread count.
+Only the sign fill gains from the split: a single Generator call draws a
+Gaussian or uniform matrix about as fast as a blocked, threaded fill.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -166,10 +167,6 @@ class BinarySignal:
         x[self.support] = 1.0
         return x
 
-    def mirror(self) -> "BinarySignal":
-        comp = np.setdiff1d(np.arange(self.N), self.support)
-        return BinarySignal(self.N, comp)
-
 
 def _rng(seed: int) -> Generator:
     # Philox is counter-based: the draw sequence is a pure function of the
@@ -192,8 +189,12 @@ _MIN_RUN_BLOCKS = 16
 
 
 def _thread_cap() -> int:
-    """Threads (or worker processes) to use: ``BINREC_THREADS`` if set, else
+    """Threads (or worker processes) to use: 1 in a process that
+    ``multiprocessing`` started, such as a sweep's pool worker, whose
+    siblings already share the CPUs; else ``BINREC_THREADS`` if set, else
     the CPUs this process may run on."""
+    if multiprocessing.parent_process() is not None:
+        return 1
     env = os.environ.get("BINREC_THREADS", "")
     if env:
         try:
@@ -214,10 +215,11 @@ def _fill(m: int, N: int, seed: int, table: np.ndarray) -> np.ndarray:
     sign kind's entries for the signs -1 and +1.
 
     The blocks are cut into up to ``_thread_cap()`` contiguous runs of at
-    least ``_MIN_RUN_BLOCKS`` blocks each, and the runs fill their own slices
-    of the output on a thread pool (numpy releases the GIL in the raw draw
-    and the integer loops).  Each run reads the stream from its own first
-    block, so the matrix does not depend on the run count."""
+    least ``_MIN_RUN_BLOCKS`` blocks each, so a pool worker fills on one
+    thread, and the runs fill their own slices of the output on a thread
+    pool (numpy releases the GIL in the raw draw and the integer loops).
+    Each run reads the stream from its own first block, so the matrix does
+    not depend on the run count."""
     out = np.empty(m * N)
     blocks = -(-out.size // _BLOCK)
     runs = max(1, min(_thread_cap(), blocks // _MIN_RUN_BLOCKS))

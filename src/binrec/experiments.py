@@ -6,13 +6,19 @@ cell's success rate is counted from its records.  Every trial seeds its own
 counter-based generator from a mix of the master seed and the (cell_i,
 cell_j, trial) coordinates, so results are identical under any execution
 order or degree of parallelism.
+
+``run_phase_transition`` spreads the cells over ``_thread_cap()`` worker
+processes.  A worker is a process that ``multiprocessing`` started, so its
+own ``_thread_cap()`` is 1: it fills its matrices on one thread and would
+map any sweep of its own serially.  Its BLAS threads are not capped: a
+forked worker keeps its parent's, which ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` set only before Python starts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -21,8 +27,8 @@ import numpy as np
 from .ensembles import (EnsembleConfig, _thread_cap, gen_matrix, gen_noise,
                         gen_sparse_binary)
 from .optim import SolverFailure
-from .recovery import (DEFAULT_SUCCESS_TOL, RecoveryProblem, recovery_success,
-                       solve)
+from .recovery import (DEFAULT_SUCCESS_TOL, RecoveryProblem, check_success_tol,
+                       recovery_success, solve)
 
 HARNESS_PROGRAMS = ("box_bp", "mibi_bp", "box_ls", "robust_box_bp")
 
@@ -74,8 +80,7 @@ class ExperimentConfig:
             raise ValueError(f"an m fraction gives no measurement at N = {self.N}")
         if self.noise_eps is not None and not 0 <= self.noise_eps < np.inf:
             raise ValueError("noise_eps must be finite and nonnegative")
-        if not 0 < self.success_tol < np.inf:
-            raise ValueError("success_tol must be positive and finite")
+        check_success_tol(self.success_tol)
         bad = set(self.programs) - set(HARNESS_PROGRAMS)
         if bad:
             raise ValueError(f"unsupported programs: {sorted(bad)}")
@@ -183,37 +188,22 @@ def run_cell(config: ExperimentConfig, cell_i: int, cell_j: int) -> list:
     return records
 
 
-def _worker(args):
-    return run_cell(*args)
-
-
-def _one_fill_thread() -> None:
-    # a pool worker fills its matrices on one thread; its BLAS threads are
-    # the parent's, which OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
-    # MKL_NUM_THREADS set only before Python starts
-    os.environ["BINREC_THREADS"] = "1"
-
-
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers, initializer=_one_fill_thread)
-
-
-def _map_cells(fn, config: ExperimentConfig) -> list:
-    """fn((config, i, j)) for every grid cell (i, j), in row-major order,
-    on a pool of ``_thread_cap()`` worker processes, or in this process
-    when that is one.  fn must be picklable."""
-    tasks = [(config, i, j)
-             for i in range(len(config.k_fractions))
-             for j in range(len(config.m_fractions))]
+def _starmap(fn, tasks: list) -> list:
+    """[fn(*task) for task in tasks], in order, on a pool of up to
+    ``_thread_cap()`` worker processes, or in this process when that is one.
+    fn and the tasks must be picklable."""
     workers = min(_thread_cap(), len(tasks))
     if workers > 1:
-        with _worker_pool(workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*task) for task in tasks]
 
 
 def run_phase_transition(config: ExperimentConfig) -> PhaseDiagram:
-    per_cell = _map_cells(_worker, config)
+    tasks = [(config, i, j)
+             for i in range(len(config.k_fractions))
+             for j in range(len(config.m_fractions))]
+    per_cell = _starmap(run_cell, tasks)
     return PhaseDiagram(config, [r for cell in per_cell for r in cell])
 
 

@@ -114,10 +114,6 @@ class RecoveryReport:
     # (eta = 0) and where no bound was found
     optimality_gap: float | None = None
 
-    @property
-    def feasible(self) -> bool:
-        return self.solver_status in ("optimal", "converged")
-
 
 def _bp_lp(p: RecoveryProblem, mirror: bool) -> RecoveryReport:
     return p._once(("bp", mirror), lambda: _solve_bp_lp(p, mirror))
@@ -424,12 +420,17 @@ def _piece_root(A, b, eta, x):
     return lam, xc
 
 
+def check_success_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` lies in (0, inf)."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"success tolerance must be positive and finite, not {tol}")
+
+
 def recovery_success(x_hat: np.ndarray | None, x0: BinarySignal | np.ndarray,
                      tol: float = DEFAULT_SUCCESS_TOL) -> bool:
     """Relative l2 criterion: ||x_hat - x0|| <= tol * max(1, ||x0||), for
     a tol in (0, inf)."""
-    if not 0 < tol < np.inf:
-        raise ValueError(f"success tolerance must be positive and finite, not {tol}")
+    check_success_tol(tol)
     if x_hat is None:
         return False
     x0d = x0.dense() if isinstance(x0, BinarySignal) else np.asarray(x0, dtype=float)

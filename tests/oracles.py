@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-
-from binrec.optim import LpProblem, lp_feasible
+from scipy.optimize import linprog
 
 FEAS_TOL = 1e-8
+KERNEL_CONE_FEAS_TOL = 1e-9
 
 
 def enumerate_lp_optimum(c, A_eq, b_eq, lower, upper):
@@ -172,9 +172,11 @@ def robust_kkt_violations(A, b, eta, x, bound_tol=1e-9):
 
 def lp_kernel_cone_fails(A, signs, sum_nonpos=False):
     """Does ker(A) meet the cone of ``signs`` (plus sum(w) <= 0 when
-    ``sum_nonpos``) in a nonzero point?  Decided by HiGHS on the feasibility
-    LP Aw = 0, s.w = 1, the sign bounds and the optional sum row; s.w is
-    sum|w| on the cone, so the normalization excludes only w = 0."""
+    ``sum_nonpos``) in a nonzero point?  Decided by HiGHS's dual simplex,
+    without presolve and to a primal feasibility tolerance of
+    KERNEL_CONE_FEAS_TOL, on the feasibility LP Aw = 0, s.w = 1, the sign
+    bounds and the optional sum row; s.w is sum|w| on the cone, so the
+    normalization excludes only w = 0."""
     A = np.asarray(A, dtype=float)
     s = np.asarray(signs, dtype=float)
     m, N = A.shape
@@ -182,9 +184,13 @@ def lp_kernel_cone_fails(A, signs, sum_nonpos=False):
         return False
     b_eq = np.zeros(m + 1)
     b_eq[-1] = 1.0
-    feasible, _ = lp_feasible(LpProblem(
-        c=np.zeros(N), A_eq=np.vstack([A, s]), b_eq=b_eq,
-        A_ineq=np.ones((1, N)) if sum_nonpos else None,
-        b_ineq=np.zeros(1) if sum_nonpos else None,
-        lower=np.minimum(s, 0.0), upper=np.maximum(s, 0.0)))
-    return feasible
+    res = linprog(np.zeros(N), A_eq=np.vstack([A, s]), b_eq=b_eq,
+                  A_ub=np.ones((1, N)) if sum_nonpos else None,
+                  b_ub=np.zeros(1) if sum_nonpos else None,
+                  bounds=np.column_stack([np.minimum(s, 0.0), np.maximum(s, 0.0)]),
+                  method="highs-ds",
+                  options={"primal_feasibility_tolerance": KERNEL_CONE_FEAS_TOL,
+                           "presolve": False})
+    if res.status not in (0, 2):
+        raise RuntimeError(f"kernel-cone oracle: HiGHS gave no verdict: {res.message}")
+    return res.status == 0

@@ -28,7 +28,7 @@ from binrec.analysis import (ConeSpec, build_dual_certificate,
                              certificate_offset, certificate_threshold,
                              check_kernel_cone, verify_certificate)
 from binrec.ensembles import EnsembleConfig, gen_matrix, gen_noise, gen_sparse_binary
-from binrec.experiments import (_map_cells, desk_scale_config, run_phase_transition,
+from binrec.experiments import (_starmap, desk_scale_config, run_phase_transition,
                                 sweep_trial)
 from binrec.optim import LpProblem, solve_box_ls, solve_box_qp, solve_lp
 from binrec.recovery import (RecoveryProblem, box_bp, box_ls, recovery_success)
@@ -121,10 +121,9 @@ def test_criterion_3_bernoulli_past_half_measurements():
                    f"exact recovery rate {rate:.3f} at N=100, m=60 (need >= 0.95)")
 
 
-def _biased_cell(task):
+def _biased_cell(cfg, i, j):
     """One cell of the biased sweep: box_bp's successes, and for each trial
     with a box_bp point (kernel_holds, ||box_ls - box_bp||)."""
-    cfg, i, j = task
     wins = 0
     pairs = []
     for t in range(cfg.trials):
@@ -147,7 +146,9 @@ def biased_grid():
     cfg = desk_scale_config(master_seed=MASTER_SEED, kind="biased")
     rates = {}
     pairs = []  # (kernel_holds, ||box_ls - box_bp||)
-    cells = _map_cells(_biased_cell, cfg)
+    tasks = [(cfg, i, j) for i in range(len(cfg.k_fractions))
+             for j in range(len(cfg.m_fractions))]
+    cells = _starmap(_biased_cell, tasks)
     for cell, (wins, cell_pairs) in zip(itertools.product(cfg.k_fractions, cfg.m_fractions),
                                         cells):
         rates[cell] = wins / cfg.trials

@@ -202,11 +202,15 @@ def test_solve_rejects_a_success_tol_outside_zero_to_inf(capsys, tmp_path, tol):
     run_cli(capsys, "gen-matrix", "--kind", "gaussian", "--m", "12", "--N", "16",
             "--seed", "5", "--out", mat)
     run_cli(capsys, "gen-signal", "--N", "16", "--k", "3", "--seed", "6", "--out", sig)
-    code = main(["solve", "--program", "box-bp", "--matrix", mat, "--signal", sig,
-                 f"--success-tol={tol}"])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error:") and "tolerance" in captured.err
+    meas = tmp_path / "b.txt"
+    meas.write_text("1\n" * 12)
+    # checked with or without a ground truth to judge by it
+    for source in (["--signal", sig], ["--measurements", str(meas)]):
+        code = main(["solve", "--program", "box-bp", "--matrix", mat, *source,
+                     f"--success-tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", source
+        assert captured.err.startswith("error:") and "tolerance" in captured.err, source
 
 
 def test_solver_failure_exit_code(capsys, monkeypatch, tmp_path):

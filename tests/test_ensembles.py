@@ -286,11 +286,9 @@ def test_sparse_binary_index_frequencies():
     assert np.all(np.abs(freq - 0.5) <= 0.03)
 
 
-def test_signal_dense_and_mirror():
+def test_signal_dense():
     s = BinarySignal(6, np.array([1, 4]))
     assert np.array_equal(s.dense(), [0, 1, 0, 0, 1, 0])
-    assert np.array_equal(s.mirror().support, [0, 2, 3, 5])
-    assert np.array_equal(s.dense() + s.mirror().dense(), np.ones(6))
 
 
 def test_signal_validation():

@@ -1,16 +1,19 @@
+import ast
 import dataclasses
 import importlib.util
 import os
 import sys
 import xml.etree.ElementTree as ET
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import binrec
 from binrec.ensembles import EnsembleConfig, _thread_cap
 from binrec.experiments import (CSV_HEADER, ExperimentConfig, PhaseDiagram,
-                                TrialRecord, _worker_pool, desk_scale_config,
+                                TrialRecord, desk_scale_config,
                                 grid_config, read_csv, render_heatmap,
                                 run_cell, run_phase_transition, sweep_trial,
                                 trial_seed, write_csv)
@@ -89,10 +92,33 @@ def test_determinism_across_parallelism():
 
 
 def test_pool_workers_fill_on_one_thread(monkeypatch):
+    # any process that multiprocessing started, not only the sweep's workers
     monkeypatch.setenv("BINREC_THREADS", "4")
-    with _worker_pool(2) as pool:
+    with ProcessPoolExecutor(max_workers=1) as pool:
         assert pool.submit(_thread_cap).result(timeout=60) == 1
     assert _thread_cap() == 4
+
+
+def _environ(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "environ"
+            or isinstance(node, ast.Name) and node.id == "environ")
+
+
+def test_no_binrec_module_writes_the_environment():
+    # a pool worker learns that it is one from multiprocessing; no module
+    # tells another what to do through os.environ
+    writes = []
+    for path in sorted(Path(binrec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            stored = (isinstance(node, ast.Subscript) and _environ(node.value)
+                      and isinstance(node.ctx, (ast.Store, ast.Del)))
+            called = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and (node.func.attr in ("putenv", "unsetenv")
+                           or _environ(node.func.value) and node.func.attr in (
+                               "update", "setdefault", "pop", "popitem", "clear")))
+            if stored or called:
+                writes.append(f"{path.name}:{node.lineno}")
+    assert not writes, writes
 
 
 def test_zero_sparsity_cell_always_recovers():
