@@ -6,17 +6,15 @@ N=500.  Least squares over [0,1]^N goes to scipy's BVLS
 (``lsq_linear(method="bvls")``; Stark and Parker, Comput. Stat. 10, 1995)
 whatever the shape of A.
 ``solve_box_qp`` solves the same program plus a linear term c.x by
-scipy's L-BFGS-B: ``recovery.robust_box_bp`` calls it with c = lam*1, once
-for lam = 0 and then once per probe of its search over lam, and the
-acceptance tests call it with c = 0 as a multi-start uniqueness probe.
-Both build their ``BoxLsResult`` through one helper, which keeps the
-point, its residual, the iteration count and the problem solved.  The
-projected-gradient fixed-point test behind ``converged`` and ``status``,
-with its Gram eigendecomposition, runs only when one of them is read, so
-``robust_box_bp``, which reads the point and its residual alone, runs
-none.  ``lp_feasible`` has no library caller since that check left HiGHS
-for NNLS; it stays for the benchmark tracer's phase-1 probe and the
-tests' kernel-cone oracle.
+scipy's L-BFGS-B.  No library code calls it: the acceptance tests use it
+with c = 0 as a multi-start uniqueness probe, and the benchmark's tracer
+wraps it.  Both build their ``BoxLsResult`` through one helper, which
+keeps the point, its residual, the iteration count and the problem
+solved.  The projected-gradient fixed-point test behind ``converged`` and
+``status``, with its Gram eigendecomposition, runs only when one of them
+is read, so a caller that reads the point and its residual alone runs
+none.  ``lp_feasible`` has no library caller either; it stays for the
+benchmark tracer's phase-1 probe, and ``test_optim`` tests it.
 
 This module imports no other binrec module.  What the solvers' points
 mean for the recovery programs, such as whether a vertex BVLS lands on is

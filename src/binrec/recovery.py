@@ -27,11 +27,11 @@ share each verdict.
 
 The noisy program, ``robust_box_bp``, is box-constrained least squares
 again: its Lagrangian adds lam*1.x to box-LS's objective.  The minimizer
-x(lam) moves linearly in lam between changes of its active set, so a few
-``optim.solve_box_qp`` solves find the piece of that path where the
-residual crosses the noise ball, one linear solve on the piece's free
-coordinates finds the crossing, and Lagrangian sufficiency proves how far
-its point can lie from the optimum.
+x(lam) moves linearly in lam between changes of its active set, so the
+path is followed exactly from x = 0, one linear solve on the free
+coordinates per piece, down to where the residual meets the noise ball,
+and Lagrangian sufficiency proves how far its point can lie from the
+optimum.  No iterative solver runs.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from scipy.optimize import nnls
 
 from .analysis import CertificateResult, ConeSpec, check_kernel_cone
 from .ensembles import BinarySignal, DenseMatrix
-from .optim import TOL_FEAS, LpProblem, SolverFailure, solve_box_ls, solve_box_qp, solve_lp
+from .optim import TOL_FEAS, LpProblem, SolverFailure, solve_box_ls, solve_lp
 
 DEFAULT_SUCCESS_TOL = 1e-4
 
@@ -57,14 +57,16 @@ MIBI_TIE_TOL = 1e-7
 # robust_box_bp objective may provably lie
 ROBUST_GAP_TOL = 1e-6
 
-# robust_box_bp's cap on box-QP probes after the lam = 0 solve
-_MAX_PROBES = 100
-# its piece step aims this far inside the ball, relative to eta, so that the
-# rounding of Ax - b does not leave the step's point just outside; and it
-# takes coordinates this close to a bound to sit on it, since L-BFGS-B's
-# projected-gradient stop cannot tell them from the bound
+# robust_box_bp's path runs on the costs 1 + _TILT * w, w a fixed uniform
+# draw, to break ties.  It takes one event per breakpoint, the largest more
+# than _TIE * max(1, lam) below lam, and lets the coordinate changed there
+# change back only _FLIP * max(1, lam) below it.  It aims inside the ball by
+# _AIM * eta or, when more, by _ROUNDING * ||b||, the rounding of Ax - b.
+_TILT = 1e-8
+_TIE = 1e-12
+_FLIP = 1e-8
 _AIM = 1e-12
-_BOUND_TOL = 1e-9
+_ROUNDING = 1e-13
 
 
 @dataclass
@@ -296,45 +298,46 @@ def box_ls(p: RecoveryProblem) -> RecoveryReport:
 def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
     """min ||x||_1  s.t.  ||Ax - b||_2 <= eta, x in [0,1]^N.
 
-    A search for the Lagrange multiplier, the Pareto-curve view of SPGL1
-    (van den Berg and Friedlander, SIAM J. Sci. Comput. 31(2), 2008).
-    x(lam) minimizes 0.5*||Ax - b||^2 + lam*1.x over the box.  Its
-    residual r(lam) = ||Ax(lam) - b|| is nondecreasing, from box-LS's at
-    lam = 0 to ||b|| from lam = max(A^T b) on, where x(lam) = 0.  The path
-    x(lam) is piecewise linear, so r(lam)^2 is piecewise quadratic and one
-    linear solve finds where a piece crosses the ball.
+    A homotopy in the Lagrange multiplier, as in the LASSO's (Osborne,
+    Presnell and Turlach, IMA J. Numer. Anal. 20, 2000; LARS, Efron et al.,
+    Ann. Statist. 32, 2004).  x(lam) minimizes 0.5*||Ax - b||^2 + lam*c.x
+    over the box.  It is piecewise linear in lam, and its residual
+    r(lam) = ||Ax(lam) - b|| is nondecreasing, from box-LS's at lam = 0 to
+    ||b|| from lam_max = max(A^T b / c) on, where x(lam) = 0.  The path
+    starts there and follows x(lam) down exactly.  On each piece one linear
+    solve on the free block of H = A^T A (least squares when it is
+    singular) gives x_F(lam) = x_F + e + lam*d, and the piece ends at the
+    next event in closed form: a free coordinate reaches 0 or 1, or a bound
+    coordinate's gradient reaches 0 with the slope that lets it enter.
+    Where the piece's residual meets the ball, aimed max(1e-12 eta,
+    1e-13 ||b||) inside it against the rounding of Ax - b, one quadratic
+    root gives lam and the point, and the path stops.  eta = 0 goes to
+    box-BP's LP, and ||b|| <= eta returns x = 0.
 
-    The lam = 0 solve (``solve_box_qp``) is the feasibility test.  Its
-    point x is box-LS's minimizer only to the solver's precision, so
-    r(0) > eta + 1e-7 is ``infeasible`` only when the Lagrangian bound
-    below proves it at lam = 0.  Without that proof the search starts with
-    no point known in the ball.  Then each step takes the
-    coordinates of the last solve's point more than 1e-9 inside the box as
-    the free set of its piece of the path, solves the free block for x(lam)
-    along the whole piece and steps to the lam where the residual meets the
-    ball, aimed a relative 1e-12 inside it (``_piece_root``).  The step's
-    point is returned when Everett's bound below proves it.  Otherwise a
-    probe, one ``solve_box_qp`` call warm-started from the last one's
-    point, solves x(lam) at the step's lam if that lies strictly inside the
-    bracket (the largest lam probed with r <= eta, the smallest with
-    r > eta), else at the bracket's midpoint, and the next step starts from
-    there.  eta = 0 goes to box-BP's LP, and ||b|| <= eta returns x = 0.
+    Degenerate matrices, such as {0, 2} ones with few rows, tie events and
+    make free blocks singular.  So the path runs on the costs
+    c = 1 + 1e-8 w, w a fixed uniform draw, which breaks structural ties
+    (equal columns, a + b = c + d) at a cost of at most 1e-8 * 1.x; it
+    takes one event per breakpoint, the largest more than 1e-12 max(1, lam)
+    below lam; and the coordinate changed at the last breakpoint may not
+    change back within 1e-8 max(1, lam) below it.
 
-    The status comes from a proof, Everett's Lagrangian sufficiency (Oper.
-    Res. 11(3), 1963).  For a point x of the box, r = ||Ax - b||, lam >= 0
-    and g = A^T(Ax - b) + lam*1, the gradient there of
-    0.5*||Ax - b||^2 + lam*1.x, let S = (eta^2 - r^2)/2 + g.x - sum(min(g, 0))
-    (``_lagrangian_slack``).  By convexity every z in the box and the ball
-    has lam*1.z >= lam*1.x - S.  So S < 0 at lam = 0 proves that no point
-    of the box lies in the ball (``infeasible``), and for lam > 0 and
-    r <= eta, 1.x lies at most gap = S/lam above the optimum; gap is the
-    report's ``optimality_gap``.  ``optimal`` means gap <= ROBUST_GAP_TOL *
-    max(1, 1.x) at the step's lam.  After _MAX_PROBES probes without a
-    proof the status is ``max_iter``, with the bracket's feasible end and
-    its gap (None at lam = 0), or with no point when no solve landed in
-    the ball.  With r(0) in [eta*(1 - 1e-12), eta + 1e-7]
-    there is no room to aim inside the ball, and the lam = 0 point comes
-    back ``stalled``.
+    The status comes from a proof on the unperturbed program, Everett's
+    Lagrangian sufficiency (Oper. Res. 11(3), 1963).  For a point x of the
+    box, r = ||Ax - b||, lam >= 0 and g = A^T(Ax - b) + lam*1, the gradient
+    there of 0.5*||Ax - b||^2 + lam*1.x, let
+    S = (eta^2 - r^2)/2 + g.x - sum(min(g, 0)) (``_lagrangian_slack``).  By
+    convexity every z in the box and the ball has lam*1.z >= lam*1.x - S.
+    So for lam > 0 and r <= eta, 1.x lies at most gap = S/lam above the
+    optimum; gap is the report's ``optimality_gap``, and ``optimal`` means
+    gap <= ROBUST_GAP_TOL * max(1, 1.x).  A path that reaches lam = 0
+    outside the ball ends at box-LS's minimizer, where S < 0 proves that no
+    point of the box lies in the ball: ``infeasible``, once r(0) also
+    exceeds eta by more than 1e-13 ||b||.  A lam = 0 point in the ball with
+    no aimed root on the path is tried against Everett's bound at the last
+    breakpoint's lam.  Any point without its proof comes back ``stalled``.
+    Every breakpoint lies lower than the last, so the path has no
+    iteration cap.
     """
     if p.eta is None:
         raise ValueError("robust_box_bp requires a noise level eta")
@@ -345,41 +348,58 @@ def robust_box_bp(p: RecoveryProblem) -> RecoveryReport:
         # the ball degenerates to the equality constraint
         rep = _bp_lp(p, mirror=False)
         return RecoveryReport(rep.x_hat, "robust_box_bp", rep.objective, rep.solver_status)
-    if np.linalg.norm(b) <= eta:
+    norm_b = float(np.linalg.norm(b))
+    if norm_b <= eta:
         return RecoveryReport(np.zeros(N), "robust_box_bp", 0.0, "optimal", optimality_gap=0.0)
-    # r(0) is box-LS's residual: infeasible iff eta < dist(b, A [0,1]^N)
-    res = solve_box_qp(A, b)
-    x, r = res.x, res.residual_norm
-    if r > eta + 1e-7:
-        if _lagrangian_slack(A, b, eta, 0.0, x)[1] < 0:
-            return RecoveryReport(None, "robust_box_bp", np.nan, "infeasible")
-    elif r >= eta * (1.0 - _AIM):
-        # no room to aim inside the ball: the lam = 0 point is all there is
-        return RecoveryReport(x, "robust_box_bp", float(np.sum(x)), "stalled")
-    # r(hi) > eta, and r(lo) <= eta with x_lo = x(lo) once a point in the
-    # ball is known; x(lam) = 0 from max(A^T b) on
-    lo, hi, x_lo = 0.0, float(np.max(A.T @ b)), x if r <= eta else None
-    for _ in range(_MAX_PROBES):
-        step = _piece_root(A, b, eta, x)
-        if step is not None:
-            lam, xc = step
-            rc, slack = _lagrangian_slack(A, b, eta, lam, xc)
-            if rc <= eta and slack / lam <= ROBUST_GAP_TOL * max(1.0, np.sum(xc)):
-                return RecoveryReport(xc, "robust_box_bp", float(np.sum(xc)), "optimal",
-                                      optimality_gap=slack / lam)
-        if step is None or not lo < lam < hi:
-            lam = (lo + hi) / 2
-        res = solve_box_qp(A, b, c=lam, x0=x)
-        x = res.x
-        if res.residual_norm <= eta:
-            lo, x_lo = lam, x
-        else:
-            hi = lam
-    if x_lo is None:
-        return RecoveryReport(None, "robust_box_bp", np.nan, "max_iter")
-    gap = _lagrangian_slack(A, b, eta, lo, x_lo)[1] / lo if lo else None
-    return RecoveryReport(x_lo, "robust_box_bp", float(np.sum(x_lo)), "max_iter",
-                          optimality_gap=gap)
+    aim = eta - max(_AIM * eta, _ROUNDING * norm_b)
+    H, q = A.T @ A, A.T @ b
+    c = 1.0 + _TILT * np.random.Generator(np.random.Philox(key=0)).random(N)
+    last = int(np.argmax(q / c))
+    lam, x, free = max(float(q[last] / c[last]), 0.0), np.zeros(N), np.arange(N) == last
+    while lam > 0.0:
+        g, Hf = H @ x - q, H[:, free]
+        rhs = -np.column_stack([g[free], c[free]])
+        try:
+            e, d = np.linalg.solve(Hf[free], rhs).T
+        except np.linalg.LinAlgError:
+            e, d = np.linalg.lstsq(Hf[free], rhs, rcond=None)[0].T
+        # on the piece, x = pos + lam*slope and the gradient is g0 + lam*g1
+        pos, slope = x.copy(), np.zeros(N)
+        pos[free], slope[free] = x[free] + e, d
+        g0, g1 = g + Hf @ e, Hf @ d + c
+        rp, v = A @ pos - b, A @ slope
+        a, beta, gamma = v @ v, rp @ v, rp @ rp - aim * aim
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the larger root of ||rp + lam*v||^2 = aim^2, without cancellation
+            s = np.sqrt(beta * beta - a * gamma)
+            root = (s - beta) / a if beta <= 0.0 else -gamma / (beta + s)
+            t = np.where(free, np.where(slope > 0.0, -pos, 1.0 - pos) / slope, -g0 / g1)
+        # a bound coordinate's event counts when its gradient's slope lets it enter
+        ok = free | np.where(x > 0.5, g1 < 0.0, g1 > 0.0)
+        ok &= t < lam - np.where(np.arange(N) == last, _FLIP, _TIE) * max(1.0, lam)
+        t = np.where(ok, t, -np.inf)
+        last = int(np.argmax(t))
+        if root > 0.0 and root >= t[last]:
+            lam, x = root, np.clip(pos + root * slope, 0.0, 1.0)
+            break
+        x = np.clip(pos + max(t[last], 0.0) * slope, 0.0, 1.0)
+        if t[last] <= 0.0:
+            break
+        # one coordinate changes: it enters the free set, or leaves it
+        # snapped onto the bound it reached
+        lam = float(t[last])
+        x[last] = np.round(x[last])
+        free[last] = not free[last]
+    # at lam = 0, x is box-LS's minimizer; S < 0 there, or anywhere in the
+    # box, proves the ball out of reach
+    r, slack = _lagrangian_slack(A, b, eta, 0.0, x)
+    if r > eta + _ROUNDING * norm_b and slack < 0.0:
+        return RecoveryReport(None, "robust_box_bp", np.nan, "infeasible")
+    r, slack = _lagrangian_slack(A, b, eta, lam, x)
+    obj = float(np.sum(x))
+    if r <= eta and slack / lam <= ROBUST_GAP_TOL * max(1.0, obj):
+        return RecoveryReport(x, "robust_box_bp", obj, "optimal", optimality_gap=slack / lam)
+    return RecoveryReport(x, "robust_box_bp", obj, "stalled")
 
 
 def _lagrangian_slack(A, b, eta, lam, x):
@@ -391,33 +411,6 @@ def _lagrangian_slack(A, b, eta, lam, x):
     r = float(np.linalg.norm(res))
     g = A.T @ res + lam
     return r, float((eta * eta - r * r) / 2 + g @ x - np.minimum(g, 0).sum())
-
-
-def _piece_root(A, b, eta, x):
-    """(lam, x(lam)) where the path's piece through x meets the ball, or
-    None when it does not.  On the piece, the coordinates of x more than
-    _BOUND_TOL inside the box (F) are free and the others sit on their
-    bounds (B).  With B snapped onto them and r = Ax - b, the free block's
-    normal equations give x_F(lam) = x_F + e + lam*d, the solution nearest
-    x_F of A_F^T A_F (x_F(lam) - x_F) = -A_F^T r - lam*1 (the least-norm
-    one, should A_F be singular), so ||Ax(lam) - b||^2 is a quadratic in
-    lam.  Its positive root at eta*(1 - _AIM) is returned, with x(lam)
-    clipped to the box."""
-    free = (x > _BOUND_TOL) & (x < 1.0 - _BOUND_TOL)
-    if not free.any():
-        return None
-    xc = np.where(free, x, np.round(x))
-    r = A @ xc - b
-    Af = A[:, free]
-    e, d = np.linalg.lstsq(Af.T @ Af, -np.column_stack([Af.T @ r, np.ones(Af.shape[1])]),
-                           rcond=None)[0].T
-    rp, v = r + Af @ e, Af @ d
-    a, beta, c = v @ v, rp @ v, rp @ rp - (eta * (1.0 - _AIM)) ** 2
-    if not (a > 0.0 and c < 0.0):
-        return None
-    lam = float((np.sqrt(beta * beta - a * c) - beta) / a)
-    xc[free] = np.clip(x[free] + e + lam * d, 0.0, 1.0)
-    return lam, xc
 
 
 def check_success_tol(tol: float) -> None:

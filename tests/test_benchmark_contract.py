@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import binrec
-from binrec import experiments, recovery
+from binrec import experiments, optim, recovery
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
@@ -51,6 +51,8 @@ def test_tracer_hooks_read_what_binrec_returns(tracing):
         experiments.run_cell(cfg, 0, 0)
         _, A, _, b = experiments.sweep_trial(cfg, 0, 0, 0)
         recovery.solve("robust_box_bp", recovery.RecoveryProblem(A, b, eta=0.1))
+        # no library code calls solve_box_qp, but the tracer still wraps it
+        optim.solve_box_qp(A.entries, b)
     metrics = tracing.layer_metrics(tracer)
     assert not [name for name, value in metrics.items() if not math.isfinite(value)]
     for layer in ("ensembles.gen_matrix", "optim.solve_lp", "optim.solve_box_qp"):
